@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace dpjit::gossip {
 namespace {
@@ -98,26 +99,40 @@ void MixedGossipService::run_cycle(std::uint64_t cycle) {
   }
 }
 
-std::vector<NodeId> MixedGossipService::pick_targets(NodeId from, int count) {
+const std::vector<NodeId>& MixedGossipService::pick_targets(NodeId from, int count) {
   const auto& g = nodes_[static_cast<std::size_t>(from.get())];
   // Candidate set: peers currently in the view (Newscast neighbors are
   // reselected from the cache every cycle).
-  std::vector<NodeId> candidates;
-  candidates.reserve(g.rss.size());
-  for (const auto& e : g.rss.entries()) candidates.push_back(e.node);
-  rng_.shuffle(candidates);
-  std::vector<NodeId> targets;
-  for (NodeId c : candidates) {
-    if (static_cast<int>(targets.size()) >= count) break;
+  candidates_.clear();
+  for (const auto& e : g.rss.entries()) candidates_.push_back(e.node);
+  rng_.shuffle(candidates_);
+  targets_.clear();
+  for (NodeId c : candidates_) {
+    if (static_cast<int>(targets_.size()) >= count) break;
     if (detector_) {
       // Message mode: membership is the node's own belief, not the oracle -
       // suspects are still gossiped to (they get a chance to refute).
-      if (!detector_->believes_dead(from, c)) targets.push_back(c);
+      if (!detector_->believes_dead(from, c)) targets_.push_back(c);
     } else if (alive_(c)) {
-      targets.push_back(c);
+      targets_.push_back(c);
     }
   }
-  return targets;
+  return targets_;
+}
+
+template <typename Deliver>
+void MixedGossipService::post_message(NodeId from, NodeId to, std::uint64_t bytes,
+                                      Deliver deliver) {
+  ++messages_sent_;
+  bytes_sent_ += bytes;
+  // Without a plan (or with all message knobs zero) the draw consumes no
+  // randomness and yields the default fate: one copy, no extra delay.
+  const sim::MessageFate fate = faults_ != nullptr ? faults_->draw_message_fate()
+                                                   : sim::MessageFate{};
+  if (fate.lost) return;
+  const double delay = std::max(0.0, latency_(from, to)) + fate.extra_delay_s;
+  for (int c = 1; c < fate.copies; ++c) engine_.schedule_in(delay, Deliver(deliver));
+  engine_.schedule_in(delay, std::move(deliver));
 }
 
 void MixedGossipService::epidemic_push(NodeId from) {
@@ -126,6 +141,7 @@ void MixedGossipService::epidemic_push(NodeId from) {
   // Build the message once and share it across all targets: own fresh state
   // plus every cached entry that still has forwarding budget.
   auto message = std::make_shared<std::vector<ResourceEntry>>();
+  message->reserve(g.rss.size() + 1);
   double load = 0.0;
   double cap = 1.0;
   local_state_(from, load, cap);
@@ -150,36 +166,26 @@ void MixedGossipService::epidemic_push(NodeId from) {
   }
 }
 
-void MixedGossipService::post_message(NodeId from, NodeId to, std::uint64_t bytes,
-                                      std::function<void()> deliver) {
-  ++messages_sent_;
-  bytes_sent_ += bytes;
-  // Without a plan (or with all message knobs zero) the draw consumes no
-  // randomness and yields the default fate: one copy, no extra delay.
-  const sim::MessageFate fate = faults_ != nullptr ? faults_->draw_message_fate()
-                                                   : sim::MessageFate{};
-  if (fate.lost) return;
-  const double delay = std::max(0.0, latency_(from, to)) + fate.extra_delay_s;
-  for (int c = 0; c < fate.copies; ++c) {
-    engine_.schedule_in(delay, [deliver] { deliver(); });
-  }
-}
-
 void MixedGossipService::merge_entry(NodeId to, const ResourceEntry& entry) {
   if (entry.node == to) return;  // no self-entries
+  ResourceView& rss = nodes_[static_cast<std::size_t>(to.get())].rss;
   if (detector_) {
     // SWIM rumor filter: state about a dead-believed peer is accepted only
     // when the snapshot post-dates the death declaration (rejoin evidence).
+    // It runs even for entries the view would ignore: the evidence itself
+    // can refute a suspicion, so an early reject here would change results.
     if (!detector_->indirect_evidence(to, entry.node, entry.stamped_at)) return;
-  } else if (!alive_(entry.node)) {
-    return;  // idealized mode: oracular filter of state about dead peers
+  } else if (rss.rejects(entry) || !alive_(entry.node)) {
+    // Idealized mode: the oracular filter of state about dead peers is pure,
+    // so it is skipped for entries the view would not take anyway.
+    return;
   }
-  nodes_[static_cast<std::size_t>(to.get())].rss.merge(entry);
+  rss.merge(entry);
 }
 
 void MixedGossipService::aggregation_exchange(NodeId from) {
   // One push-pull averaging step with a random alive partner from the view.
-  auto targets = pick_targets(from, 1);
+  const auto& targets = pick_targets(from, 1);
   if (targets.empty()) return;
   const NodeId partner = targets.front();
   if (detector_) {

@@ -141,7 +141,9 @@ class MixedGossipService {
   void epidemic_push(NodeId from);
   void aggregation_exchange(NodeId from);
   void reseed_aggregation(NodeId n);
-  [[nodiscard]] std::vector<NodeId> pick_targets(NodeId from, int count);
+  /// Up to `count` gossip targets drawn from `from`'s view. The result lives
+  /// in a member buffer, valid until the next call.
+  [[nodiscard]] const std::vector<NodeId>& pick_targets(NodeId from, int count);
 
   // --- message-level mode ---
   void run_cycle_message(std::uint64_t cycle);
@@ -154,10 +156,13 @@ class MixedGossipService {
   /// exhausted - the message is simply never sent, as a real rate limiter
   /// would do, and the peer's ack timeout handles the fallout.
   [[nodiscard]] bool try_consume_budget(NodeId n);
-  /// Applies fault fates and schedules delivery copies.
-  void post_message(NodeId from, NodeId to, std::uint64_t bytes, std::function<void()> deliver);
+  /// Applies fault fates and schedules `deliver` directly as the event
+  /// callback; it is copied only when the fate duplicates the message.
+  template <typename Deliver>
+  void post_message(NodeId from, NodeId to, std::uint64_t bytes, Deliver deliver);
   /// Detector-aware merge: drops self-entries and stale rumors about
-  /// dead-believed peers; oracular alive() filter only in the idealized mode.
+  /// dead-believed peers; oracular alive() filter only in the idealized mode,
+  /// after the view's no-op test.
   void merge_entry(NodeId to, const ResourceEntry& entry);
   /// The entry `from` forwards about `node` right now (own fresh state when
   /// node == from, ttl-decremented cache entry otherwise; nullopt when the
@@ -179,6 +184,9 @@ class MixedGossipService {
   std::unique_ptr<sim::PeriodicProcess> cycle_process_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
+  /// pick_targets() scratch, reused across calls.
+  std::vector<NodeId> candidates_;
+  std::vector<NodeId> targets_;
 
   // --- message-level mode state ---
   std::unique_ptr<FailureDetector> detector_;

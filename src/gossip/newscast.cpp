@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace dpjit::gossip {
 
@@ -15,6 +16,8 @@ bool ResourceView::merge(const ResourceEntry& entry) {
   if (slot != kNoSlot) {
     ResourceEntry& e = entries_[slot];
     if (entry.stamped_at > e.stamped_at) {
+      // Refreshing the stalest entry may raise the minimum.
+      if (stalest_valid_ && e.stamped_at == stalest_) stalest_valid_ = false;
       e = entry;
       return true;
     }
@@ -28,17 +31,28 @@ bool ResourceView::merge(const ResourceEntry& entry) {
     entries_.push_back(entry);
     return true;
   }
-  // Full: evict the stalest entry if the newcomer is fresher.
-  auto stalest = std::min_element(
-      entries_.begin(), entries_.end(),
-      [](const ResourceEntry& a, const ResourceEntry& b) { return a.stamped_at < b.stamped_at; });
-  if (stalest->stamped_at < entry.stamped_at) {
-    unindex(stalest->node);
-    index(entry.node, static_cast<std::size_t>(stalest - entries_.begin()));
-    *stalest = entry;
-    return true;
+  // Full: evict the stalest entry if the newcomer is fresher. Most calls end
+  // here, against the cached stamp, without touching the entries.
+  const SimTime stalest = stalest_stamp();
+  if (!(stalest < entry.stamped_at)) return false;
+  // One pass: the first stalest slot (the victim, as min_element would pick
+  // it) and the stalest stamp among the survivors.
+  std::size_t victim = entries_.size();
+  SimTime next = std::numeric_limits<SimTime>::infinity();
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const SimTime s = entries_[i].stamped_at;
+    if (victim == entries_.size() && s == stalest) {
+      victim = i;
+    } else {
+      next = std::min(next, s);
+    }
   }
-  return false;
+  assert(victim < entries_.size());
+  unindex(entries_[victim].node);
+  index(entry.node, victim);
+  entries_[victim] = entry;
+  stalest_ = std::min(next, entry.stamped_at);
+  return true;
 }
 
 void ResourceView::expire(SimTime now, double max_age, NodeId self) {
@@ -51,6 +65,7 @@ void ResourceView::expire(SimTime now, double max_age, NodeId self) {
   // erase_if compacted the survivors; refresh their slots.
   if (entries_.size() != before) {
     for (std::size_t i = 0; i < entries_.size(); ++i) index(entries_[i].node, i);
+    stalest_valid_ = false;
   }
 }
 
@@ -60,6 +75,7 @@ bool ResourceView::forget(NodeId node) {
   unindex(node);
   entries_.erase(entries_.begin() + slot);
   for (std::size_t i = slot; i < entries_.size(); ++i) index(entries_[i].node, i);
+  stalest_valid_ = false;
   return true;
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/types.hpp"
@@ -29,21 +30,49 @@ struct ResourceEntry {
 ///
 /// Entry *order* is part of the observable behavior (neighbor selection
 /// shuffles the entries in order, consuming RNG draws), so all mutations keep
-/// the same vector layout the naive implementation produced. A direct-mapped
-/// node -> slot side index makes the per-entry lookup O(1): merge() is the
-/// single hottest function of an end-to-end run (tens of millions of calls),
-/// and the linear scan it replaced dominated the profile.
+/// the same vector layout the naive implementation produced: eviction
+/// overwrites the *first* stalest slot in place.
+///
+/// merge() is the single hottest function of an end-to-end run (tens of
+/// millions of calls), and almost every call is a no-op on a full view. Two
+/// side structures keep those calls cheap without touching the layout:
+/// - a direct-mapped node -> slot index makes the per-entry lookup O(1);
+/// - a cached stalest stamp lets a full view reject an absent entry that is
+///   no fresher than its stalest resident without scanning. Eviction finds the
+///   victim and the next-stalest stamp in one pass, so the cache stays valid
+///   across evictions; expire(), forget(), clear(), set_capacity() and an
+///   in-place refresh of the stalest entry invalidate it, and the next
+///   full-view merge rebuilds it. Inserts need no upkeep: they only happen
+///   below capacity, which a view reaches only through an invalidating call.
+/// rejects() exposes the no-op test so callers can skip filter work for
+/// entries that could not change the view anyway.
 class ResourceView {
  public:
   explicit ResourceView(std::size_t capacity = 30) : capacity_(capacity) {}
 
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
+  void set_capacity(std::size_t capacity) {
+    capacity_ = capacity;
+    stalest_valid_ = false;  // a view that stops being full may grow staler
+  }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   /// Merges an incoming entry: replaces an older entry about the same node,
   /// inserts otherwise. When full, the stalest entry is evicted if the
   /// incoming one is fresher. Returns true if the view changed.
   bool merge(const ResourceEntry& entry);
+
+  /// True when merge(entry) is certain to leave the view unchanged: a known
+  /// node's entry that is not fresher (nor an equal snapshot with more TTL),
+  /// or an unknown node's entry that a full view would not admit.
+  [[nodiscard]] bool rejects(const ResourceEntry& entry) const {
+    const std::uint16_t slot = lookup(entry.node);
+    if (slot != kNoSlot) {
+      const ResourceEntry& e = entries_[slot];
+      return !(entry.stamped_at > e.stamped_at ||
+               (entry.stamped_at == e.stamped_at && entry.ttl > e.ttl));
+    }
+    return entries_.size() >= capacity_ && !(stalest_stamp() < entry.stamped_at);
+  }
 
   /// Drops entries older than `now - max_age` and entries about `self`.
   void expire(SimTime now, double max_age, NodeId self);
@@ -67,6 +96,7 @@ class ResourceView {
   void clear() {
     entries_.clear();
     std::fill(slot_of_.begin(), slot_of_.end(), kNoSlot);
+    stalest_valid_ = false;
   }
 
  private:
@@ -88,10 +118,23 @@ class ResourceView {
     if (i < slot_of_.size()) slot_of_[i] = kNoSlot;
   }
 
+  /// Minimum stamped_at over entries_ (+inf when empty), rebuilt on demand.
+  [[nodiscard]] SimTime stalest_stamp() const {
+    if (!stalest_valid_) {
+      stalest_ = std::numeric_limits<SimTime>::infinity();
+      for (const auto& e : entries_) stalest_ = std::min(stalest_, e.stamped_at);
+      stalest_valid_ = true;
+    }
+    return stalest_;
+  }
+
   std::size_t capacity_;
   std::vector<ResourceEntry> entries_;
   /// node id -> slot in entries_ (kNoSlot when absent); lazily grown.
   std::vector<std::uint16_t> slot_of_;
+  /// Cache of the stalest stamp; meaningful only while stalest_valid_.
+  mutable SimTime stalest_ = 0.0;
+  mutable bool stalest_valid_ = false;
 };
 
 /// Push-pull averaging state for one metric (Jelasity et al., TOCS 2005).

@@ -175,5 +175,71 @@ TEST(MixedGossip, NoSelfEntries) {
   }
 }
 
+TEST(MixedGossip, MessageModeRefutationReachesDetectorEvenWhenViewRejects) {
+  // Message mode must consult the failure detector before the view's no-op
+  // test: an entry about a dead-believed peer stamped after the death
+  // declaration revives the peer (a refutation) even when a full view then
+  // ignores the entry. Observer O declares P dead; Q later forwards P's
+  // fresh state to O, whose one-slot view is already full of fresher state.
+  const NodeId o{0};
+  const NodeId p{1};
+  const NodeId q{2};
+  GossipParams params;
+  params.message_level = true;
+  params.cycle_s = 100.0;
+  params.ack_timeout_s = 50.0;
+  params.suspect_timeout_s = 100.0;
+  params.cache_size = 2;
+  params.fanout = 2;
+  params.round_message_budget = 100;
+  sim::Engine engine;
+  std::vector<bool> alive{true, true, false};
+  MixedGossipService service(
+      engine, params, 3,
+      [](NodeId id, double& load, double& cap) {
+        load = 10.0 * id.get();
+        cap = 1.0 + id.get();
+      },
+      [&alive](NodeId id) { return alive[static_cast<std::size_t>(id.get())]; },
+      [](NodeId, NodeId) { return 0.001; }, [](NodeId) { return 1.0; }, util::Rng(7));
+  const FailureDetector& detector = *service.detector();
+  service.node_joined(o, {p});
+
+  // O probes P, which is down: the probe goes unanswered, P becomes a suspect
+  // and is declared dead (and forgotten) at O's next cycle sweep.
+  alive[1] = false;
+  engine.run_until(10.0);
+  service.run_cycle(1);
+  engine.run_until(200.0);
+  service.run_cycle(2);
+  ASSERT_TRUE(detector.believes_dead(o, p));
+  ASSERT_EQ(service.rss(o).size(), 0u);
+
+  // P is briefly up at t=400, long enough for Q to learn its state.
+  engine.run_until(400.0);
+  alive[1] = true;
+  service.node_joined(q, {p, o});
+  alive[1] = false;
+  alive[2] = true;
+  ASSERT_NE(service.rss(q).find(p), nullptr);
+  service.rss(o).set_capacity(1);
+
+  // Q's exchange with O ends in an ACK2 carrying Q's own state, then P's
+  // entry stamped at 400: O's view fills with the first and rejects the second.
+  const std::uint64_t refutations = detector.refutations();
+  engine.run_until(500.0);
+  service.run_cycle(3);
+  engine.run_until(600.0);
+  const ResourceView& view = service.rss(o);
+  ASSERT_EQ(view.size(), 1u);
+  ASSERT_NE(view.find(q), nullptr);
+  EXPECT_TRUE(view.rejects(ResourceEntry{p, 10.0, 2.0, 400.0, params.ttl - 1}))
+      << "precondition: the full view would drop P's entry";
+  EXPECT_FALSE(view.contains(p));
+  EXPECT_EQ(detector.refutations(), refutations + 1)
+      << "the view's early reject ran ahead of the detector's rumor filter";
+  EXPECT_FALSE(detector.believes_dead(o, p));
+}
+
 }  // namespace
 }  // namespace dpjit::gossip

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "gossip/view.hpp"
 #include "util/rng.hpp"
@@ -155,6 +157,18 @@ class NaiveView {
     });
   }
 
+  bool adjust_load(NodeId node, double delta_mi) {
+    for (auto& e : entries_) {
+      if (e.node != node) continue;
+      e.load_mi = std::max(0.0, e.load_mi + delta_mi);
+      return true;
+    }
+    return false;
+  }
+
+  void clear() { entries_.clear(); }
+  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
+
   [[nodiscard]] const std::vector<ResourceEntry>& entries() const { return entries_; }
 
  private:
@@ -162,8 +176,28 @@ class NaiveView {
   std::vector<ResourceEntry> entries_;
 };
 
+/// Asserts that `fast` holds exactly `slow`'s entries, slot for slot.
+void expect_same_layout(const ResourceView& fast, const std::vector<ResourceEntry>& slow) {
+  ASSERT_EQ(fast.size(), slow.size());
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    const auto& a = fast.entries()[i];
+    const auto& b = slow[i];
+    ASSERT_EQ(a.node, b.node) << "slot " << i << " diverged";
+    ASSERT_EQ(a.stamped_at, b.stamped_at);
+    ASSERT_EQ(a.ttl, b.ttl);
+    ASSERT_EQ(a.load_mi, b.load_mi);
+    ASSERT_EQ(a.capacity_mips, b.capacity_mips);
+    ASSERT_EQ(fast.find(a.node), &fast.entries()[i]);
+  }
+}
+
 TEST(ResourceView, RandomizedDifferentialAgainstNaiveReference) {
+  // Guards the O(1) slot index and the cached stalest stamp: every operation
+  // that can move or invalidate them (forget, adjust_load, clear, resize,
+  // expire) is interleaved with merges, and rejects() must never claim a merge
+  // is a no-op when the reference changes.
   util::Rng rng(20260808);
+  int rejected = 0;
   for (int round = 0; round < 20; ++round) {
     const std::size_t cap = 1 + rng.index(12);
     ResourceView fast(cap);
@@ -173,29 +207,41 @@ TEST(ResourceView, RandomizedDifferentialAgainstNaiveReference) {
       now += rng.uniform(0.0, 2.0);
       const int node = 1 + static_cast<int>(rng.index(20));
       const double roll = rng.uniform01();
-      if (roll < 0.75) {
+      if (roll < 0.70) {
         // Stamps drawn near `now`, quantized so equal-stamp ties actually occur.
         const double stamp = std::floor(rng.uniform(0.0, now + 1.0));
-        const auto e = ResourceEntry{NodeId{node}, rng.uniform(0.0, 50.0), 2.0, stamp,
+        const auto e = ResourceEntry{NodeId{node}, rng.uniform(0.0, 50.0),
+                                     1.0 + static_cast<double>(rng.index(4)), stamp,
                                      static_cast<int>(rng.index(5))};
-        EXPECT_EQ(fast.merge(e), slow.merge(e));
-      } else if (roll < 0.85) {
+        if (fast.rejects(e)) {
+          ++rejected;
+          const std::vector<ResourceEntry> before = slow.entries();
+          EXPECT_FALSE(fast.merge(e));
+          EXPECT_FALSE(slow.merge(e)) << "rejects() claimed a no-op the reference applied";
+          ASSERT_NO_FATAL_FAILURE(expect_same_layout(fast, before));
+        } else {
+          EXPECT_EQ(fast.merge(e), slow.merge(e));
+        }
+      } else if (roll < 0.78) {
         EXPECT_EQ(fast.forget(NodeId{node}), slow.forget(NodeId{node}));
+      } else if (roll < 0.86) {
+        const double delta = rng.uniform(-30.0, 30.0);
+        EXPECT_EQ(fast.adjust_load(NodeId{node}, delta), slow.adjust_load(NodeId{node}, delta));
+      } else if (roll < 0.88) {
+        fast.clear();
+        slow.clear();
+      } else if (roll < 0.90) {
+        const std::size_t resized = 1 + rng.index(12);
+        fast.set_capacity(resized);
+        slow.set_capacity(resized);
       } else {
         fast.expire(now, 5.0, NodeId{node});
         slow.expire(now, 5.0, NodeId{node});
       }
-      ASSERT_EQ(fast.size(), slow.entries().size());
-      for (std::size_t i = 0; i < fast.size(); ++i) {
-        const auto& a = fast.entries()[i];
-        const auto& b = slow.entries()[i];
-        ASSERT_EQ(a.node, b.node) << "slot " << i << " diverged";
-        ASSERT_EQ(a.stamped_at, b.stamped_at);
-        ASSERT_EQ(a.ttl, b.ttl);
-        ASSERT_EQ(fast.find(a.node), &fast.entries()[i]);
-      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_layout(fast, slow.entries()));
     }
   }
+  EXPECT_GT(rejected, 500);  // the no-op path is exercised, not vacuous
 }
 
 TEST(ResourceView, ExpireDropsOldAndSelf) {

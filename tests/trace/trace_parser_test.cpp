@@ -208,7 +208,7 @@ TEST(TraceParser, FuzzMutationLoopNeverCrashes) {
           break;
         }
       }
-      if (mutated.empty()) mutated = " ";
+      if (mutated.empty()) mutated.assign(1, ' ');
     }
     try {
       const auto wl = parse_trace_text(mutated);
