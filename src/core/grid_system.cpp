@@ -88,12 +88,13 @@ class SystemDispatchContext final : public DispatchContext {
     }
 
     // Pending workflows with schedule points, RPM and ms under the home's
-    // believed averages (Algorithm 1 lines 2-7).
-    for (WorkflowId id : sys_.home_workflows_[static_cast<std::size_t>(home.get())]) {
-      auto& wf = sys_.workflows_[static_cast<std::size_t>(id.get())];
-      if (wf.done()) continue;
+    // believed averages (Algorithm 1 lines 2-7). The home's active list holds
+    // exactly its workflows with a schedule point, in ascending id order, so
+    // the cycle costs O(live schedule points), not O(workflows ever received).
+    for (WorkflowId id : sys_.active_workflows_[static_cast<std::size_t>(home.get())]) {
+      const auto& wf = sys_.workflows_[static_cast<std::size_t>(id.get())];
       const auto sps = sys_.schedule_points(wf);
-      if (sps.empty()) continue;
+      assert(!wf.done() && !sps.empty());
       const auto rpm = rest_path_makespans(wf.dag, averages_);
       PendingWorkflow pending;
       pending.wf = id;
@@ -255,7 +256,8 @@ GridSystem::GridSystem(sim::Engine& engine, const net::Topology& topo,
   for (int i = 0; i < n; ++i) {
     nodes_.emplace_back(NodeId{i}, capacities[static_cast<std::size_t>(i)]);
   }
-  home_workflows_.resize(static_cast<std::size_t>(n));
+  active_workflows_.resize(static_cast<std::size_t>(n));
+  home_has_workflows_.resize(static_cast<std::size_t>(n), false);
   running_event_.resize(static_cast<std::size_t>(n), sim::EventQueue::kInvalidHandle);
 
   double cap_sum = 0.0;
@@ -320,11 +322,12 @@ WorkflowId GridSystem::submit(NodeId home, dag::Workflow wf) {
   inst.tasks.resize(inst.dag.task_count());
   for (std::size_t t = 0; t < inst.dag.task_count(); ++t) {
     const TaskIndex ti{static_cast<TaskIndex::underlying_type>(t)};
-    inst.tasks[t].unfinished_preds = static_cast<int>(inst.dag.predecessors(ti).size());
-    if (inst.tasks[t].unfinished_preds == 0) inst.tasks[t].state = TaskState::kSchedulable;
+    auto& rt = inst.tasks[t];
+    rt.unfinished_preds = static_cast<int>(inst.dag.predecessors(ti).size());
+    if (rt.unfinished_preds == 0) set_task_state(inst, rt, TaskState::kSchedulable);
   }
   workflows_.push_back(std::move(inst));
-  home_workflows_[static_cast<std::size_t>(home.get())].push_back(id);
+  home_has_workflows_[static_cast<std::size_t>(home.get())] = true;
   return id;
 }
 
@@ -390,7 +393,7 @@ void GridSystem::run_scheduling_cycle() {
     for (int i = 0; i < topo_.node_count(); ++i) {
       const NodeId home{i};
       if (!nodes_[static_cast<std::size_t>(i)].alive()) continue;
-      if (home_workflows_[static_cast<std::size_t>(i)].empty()) continue;
+      if (!home_has_workflows_[static_cast<std::size_t>(i)]) continue;
       schedule_home(home);
     }
   }
@@ -415,7 +418,7 @@ void GridSystem::reoffer_suspect_tasks() {
       // Reset FIRST: the transfer aborts below fire their callbacks
       // synchronously, and those must see the task as already reclaimed
       // (the same ordering fail_task relies on).
-      rt.state = TaskState::kSchedulable;
+      set_task_state(wf, rt, TaskState::kSchedulable);
       rt.exec_node = NodeId{};
       rt.dispatched_at = kNoTime;
       rt.started_at = kNoTime;
@@ -488,7 +491,7 @@ void GridSystem::ensure_full_ahead_plan() {
 }
 
 void GridSystem::dispatch_planned_ready(WorkflowInstance& wf) {
-  if (wf.done()) return;
+  if (wf.schedulable_tasks == 0) return;
   for (TaskIndex t : schedule_points(wf)) dispatch_planned_task(wf, t);
 }
 
@@ -534,7 +537,7 @@ void GridSystem::dispatch_task(WorkflowInstance& wf, TaskIndex task, NodeId targ
                                double makespan, double slack, double sufferage) {
   auto& rt = wf.tasks[static_cast<std::size_t>(task.get())];
   assert(rt.state == TaskState::kSchedulable);
-  rt.state = TaskState::kDispatched;
+  set_task_state(wf, rt, TaskState::kDispatched);
   rt.exec_node = target;
   rt.dispatched_at = engine_.now();
   ++tasks_dispatched_;
@@ -688,7 +691,7 @@ void GridSystem::try_start_task(NodeId id) {
 
   auto& wf = workflows_[static_cast<std::size_t>(ref.workflow.get())];
   auto& rt = wf.tasks[static_cast<std::size_t>(ref.task.get())];
-  rt.state = TaskState::kRunning;
+  set_task_state(wf, rt, TaskState::kRunning);
   rt.started_at = engine_.now();
   if (ref.task == wf.dag.entry() && wf.entry_started_at == kNoTime) {
     wf.entry_started_at = engine_.now();
@@ -714,7 +717,7 @@ void GridSystem::on_task_complete(NodeId id) {
     try_start_task(id);
     return;
   }
-  rt.state = TaskState::kFinished;
+  set_task_state(wf, rt, TaskState::kFinished);
   rt.finished_at = engine_.now();
   ++wf.finished_tasks;
   trace_.record(engine_.now(), sim::TraceKind::kExecEnd, id, ref);
@@ -747,7 +750,7 @@ void GridSystem::on_task_finished_at_home(TaskRef ref, SimTime finished_at) {
     auto& srt = wf.tasks[static_cast<std::size_t>(s.get())];
     if (srt.state != TaskState::kWaiting) continue;
     if (--srt.unfinished_preds == 0) {
-      srt.state = TaskState::kSchedulable;
+      set_task_state(wf, srt, TaskState::kSchedulable);
       if (algorithm_.full_ahead()) dispatch_planned_task(wf, s);
     }
   }
@@ -778,7 +781,7 @@ void GridSystem::fail_task(TaskRef ref, const char* reason) {
   auto& rt = wf.tasks[static_cast<std::size_t>(ref.task.get())];
   if (rt.state == TaskState::kFinished || rt.state == TaskState::kFailed) return;
   const TaskState old_state = rt.state;
-  rt.state = TaskState::kFailed;  // set first: cleanup below may re-enter
+  set_task_state(wf, rt, TaskState::kFailed);  // set first: cleanup below may re-enter
   ++wf.failed_tasks;
   ++tasks_failed_;
   trace_.record(engine_.now(), sim::TraceKind::kTaskFailed, rt.exec_node, ref, reason);
@@ -874,9 +877,25 @@ std::vector<NodeId> GridSystem::random_alive_contacts(int count, NodeId exclude)
 // Helpers
 // ---------------------------------------------------------------------------
 
+void GridSystem::set_task_state(WorkflowInstance& wf, TaskRuntime& rt, TaskState next) {
+  const bool was_point = rt.state == TaskState::kSchedulable;
+  const bool is_point = next == TaskState::kSchedulable;
+  rt.state = next;
+  if (was_point == is_point) return;
+  auto& active = active_workflows_[static_cast<std::size_t>(wf.home.get())];
+  if (is_point) {
+    if (wf.schedulable_tasks++ == 0) {
+      active.insert(std::lower_bound(active.begin(), active.end(), wf.id), wf.id);
+    }
+  } else if (--wf.schedulable_tasks == 0) {
+    active.erase(std::lower_bound(active.begin(), active.end(), wf.id));
+  }
+}
+
 std::vector<TaskIndex> GridSystem::schedule_points(const WorkflowInstance& wf) const {
   std::vector<TaskIndex> sps;
-  for (std::size_t t = 0; t < wf.tasks.size(); ++t) {
+  sps.reserve(wf.schedulable_tasks);
+  for (std::size_t t = 0; t < wf.tasks.size() && sps.size() < wf.schedulable_tasks; ++t) {
     if (wf.tasks[t].state == TaskState::kSchedulable) {
       sps.push_back(TaskIndex{static_cast<TaskIndex::underlying_type>(t)});
     }

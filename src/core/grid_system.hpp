@@ -96,6 +96,12 @@ struct TaskRuntime {
 };
 
 /// A submitted workflow and its execution progress (home-node view).
+///
+/// `schedulable_tasks` counts the tasks in kSchedulable - the workflow's live
+/// schedule points. Every task-state write goes through GridSystem's single
+/// transition helper, which keeps this count exact and keeps the workflow in
+/// its home's active list (GridSystem::active_workflows) exactly while the
+/// count is above 0.
 struct WorkflowInstance {
   WorkflowId id{};
   NodeId home{};
@@ -108,6 +114,7 @@ struct WorkflowInstance {
   std::vector<TaskRuntime> tasks;
   std::size_t finished_tasks = 0;
   std::size_t failed_tasks = 0;
+  std::size_t schedulable_tasks = 0;
 
   [[nodiscard]] bool done() const { return finished_at != kNoTime; }
 };
@@ -222,6 +229,11 @@ class GridSystem {
   [[nodiscard]] std::uint64_t tasks_failed() const { return tasks_failed_; }
   [[nodiscard]] std::uint64_t tasks_rescheduled() const { return tasks_rescheduled_; }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
+  /// `home`'s workflows with at least one schedule point, ascending by id:
+  /// the set each scheduling cycle ranks (Algorithm 1 lines 2-7).
+  [[nodiscard]] const std::vector<WorkflowId>& active_workflows(NodeId home) const {
+    return active_workflows_.at(static_cast<std::size_t>(home.get()));
+  }
 
   /// Runs one scheduling cycle immediately (tests drive this directly).
   void run_scheduling_cycle();
@@ -296,6 +308,12 @@ class GridSystem {
   [[nodiscard]] int unfinished_pred_count(const WorkflowInstance& wf, TaskIndex task) const;
 
   // --- helpers ---
+  /// The only writer of TaskRuntime::state (`rt` must belong to `wf`). Keeps
+  /// wf.schedulable_tasks and the home's active list in step: the workflow is
+  /// inserted at the count's 0 -> 1 edge and erased at its 1 -> 0 edge.
+  void set_task_state(WorkflowInstance& wf, TaskRuntime& rt, TaskState next);
+  /// wf's kSchedulable tasks in index order; stops once it has found
+  /// wf.schedulable_tasks of them.
   [[nodiscard]] std::vector<TaskIndex> schedule_points(const WorkflowInstance& wf) const;
   [[nodiscard]] double control_latency(NodeId a, NodeId b) const;
   [[nodiscard]] double estimate_bandwidth(NodeId a, NodeId b, NodeId believer) const;
@@ -315,7 +333,11 @@ class GridSystem {
 
   std::vector<grid::GridNode> nodes_;
   std::vector<WorkflowInstance> workflows_;
-  std::vector<std::vector<WorkflowId>> home_workflows_;
+  /// Per home: ids of its workflows with a schedule point, ascending.
+  std::vector<std::vector<WorkflowId>> active_workflows_;
+  /// Per home: it has received at least one workflow (the cycle skips the
+  /// rest).
+  std::vector<bool> home_has_workflows_;
 
   std::unique_ptr<gossip::MixedGossipService> gossip_;
   std::unique_ptr<grid::TransferManager> transfers_;

@@ -60,13 +60,13 @@ void GridSystem::recover_task(WorkflowInstance& wf, TaskIndex task, int depth) {
       // notification was still in flight (the stale-notification guard in
       // on_task_finished_at_home drops that notification), and failed
       // successors previously kept a stale count until their own recovery.
-      prt.state = TaskState::kFailed;
+      set_task_state(wf, prt, TaskState::kFailed);
       prt.finish_notified = false;
       --wf.finished_tasks;
       ++wf.failed_tasks;
       for (TaskIndex s : wf.dag.successors(p)) {
         auto& srt = wf.tasks[static_cast<std::size_t>(s.get())];
-        if (srt.state == TaskState::kSchedulable) srt.state = TaskState::kWaiting;
+        if (srt.state == TaskState::kSchedulable) set_task_state(wf, srt, TaskState::kWaiting);
         if (srt.state == TaskState::kWaiting || srt.state == TaskState::kFailed) {
           srt.unfinished_preds = unfinished_pred_count(wf, s);
         }
@@ -78,7 +78,7 @@ void GridSystem::recover_task(WorkflowInstance& wf, TaskIndex task, int depth) {
   // Return this task to the just-in-time pipeline.
   const int unfinished = unfinished_pred_count(wf, task);
   rt.unfinished_preds = unfinished;
-  rt.state = unfinished == 0 ? TaskState::kSchedulable : TaskState::kWaiting;
+  set_task_state(wf, rt, unfinished == 0 ? TaskState::kSchedulable : TaskState::kWaiting);
   rt.exec_node = NodeId{};
   rt.finish_notified = false;
   rt.dispatched_at = rt.started_at = rt.finished_at = kNoTime;

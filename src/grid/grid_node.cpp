@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace dpjit::grid {
 
@@ -12,27 +13,31 @@ GridNode::GridNode(NodeId id, double capacity_mips) : id_(id), capacity_(capacit
 
 void GridNode::add_ready(ReadyTask task) {
   assert(find_ready(task.ref) == nullptr && "duplicate ready task");
+  ready_load_mi_ += task.load_mi;  // harmless while stale: the next read re-sums
   ready_.push_back(std::move(task));
 }
 
 ReadyTask* GridNode::find_ready(TaskRef ref) {
-  for (auto& t : ready_) {
-    if (t.ref == ref) return &t;
-  }
-  return nullptr;
+  return const_cast<ReadyTask*>(std::as_const(*this).find_ready(ref));
 }
 
 const ReadyTask* GridNode::find_ready(TaskRef ref) const {
-  for (const auto& t : ready_) {
-    if (t.ref == ref) return &t;
+  for (auto it = ready_.rbegin(); it != ready_.rend(); ++it) {
+    if (it->ref == ref) return &*it;
   }
   return nullptr;
 }
 
 bool GridNode::remove_ready(TaskRef ref) {
-  const auto before = ready_.size();
-  std::erase_if(ready_, [&](const ReadyTask& t) { return t.ref == ref; });
-  return ready_.size() != before;
+  const ReadyTask* t = find_ready(ref);
+  if (t == nullptr) return false;
+  erase_ready(t);
+  return true;
+}
+
+void GridNode::erase_ready(const ReadyTask* t) {
+  ready_.erase(ready_.begin() + (t - ready_.data()));
+  ready_load_stale_ = true;
 }
 
 std::vector<const ReadyTask*> GridNode::data_complete() const {
@@ -46,6 +51,8 @@ std::vector<const ReadyTask*> GridNode::data_complete() const {
 std::vector<ReadyTask> GridNode::drain_ready() {
   std::vector<ReadyTask> out = std::move(ready_);
   ready_.clear();
+  ready_load_mi_ = 0.0;
+  ready_load_stale_ = false;
   return out;
 }
 
@@ -57,7 +64,7 @@ double GridNode::start_running(TaskRef ref, SimTime now) {
     throw std::logic_error("GridNode::start_running: inputs still pending");
   }
   running_ = *t;
-  remove_ready(ref);
+  erase_ready(t);
   const double duration = running_->load_mi / capacity_;
   run_started_ = now;
   run_finishes_ = now + duration;
@@ -80,8 +87,13 @@ std::optional<ReadyTask> GridNode::abort_running() {
 }
 
 double GridNode::total_load_mi(SimTime now) const {
-  double sum = 0.0;
-  for (const auto& t : ready_) sum += t.load_mi;
+  if (ready_load_stale_) {
+    double fresh = 0.0;
+    for (const auto& t : ready_) fresh += t.load_mi;
+    ready_load_mi_ = fresh;
+    ready_load_stale_ = false;
+  }
+  double sum = ready_load_mi_;
   if (running_) {
     const double span = run_finishes_ - run_started_;
     const double frac = span <= 0.0 ? 0.0 : std::clamp((run_finishes_ - now) / span, 0.0, 1.0);

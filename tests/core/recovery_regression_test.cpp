@@ -11,11 +11,16 @@
 //   - the stale notification of a demoted incarnation must be dropped, or a
 //     successor becomes schedulable while its precedent is still re-executing
 //     and gets dispatched against data that does not exist yet.
+//
+// Every test also checks the schedule-point index against a full scan after
+// every engine step it drives and just after every scheduling cycle.
 #include "core/grid_system.hpp"
 
 #include <gtest/gtest.h>
 
 #include "dag/workflow.hpp"
+#include "schedule_point_oracle.hpp"
+#include "sim/periodic.hpp"
 
 namespace dpjit::core {
 namespace {
@@ -45,6 +50,14 @@ struct SlowWanWorld {
     system = std::make_unique<GridSystem>(engine, topo, routing, landmarks,
                                           std::vector<double>{1, 8, 4, 8, 2, 8, 4, 8},
                                           make_algorithm("dsmf"), config);
+    index_check = std::make_unique<sim::PeriodicProcess>(
+        engine, config.first_schedule_at_s + 1e-3, config.scheduling_interval_s,
+        [this](std::uint64_t) { EXPECT_TRUE(index_matches_scan()) << "t=" << engine.now(); });
+    index_check->start();
+  }
+
+  [[nodiscard]] ::testing::AssertionResult index_matches_scan() const {
+    return schedule_index_matches_scan(*system, topo.node_count());
   }
 
   /// Steps until `done()` returns true; hard-fails if the engine drains.
@@ -53,6 +66,7 @@ struct SlowWanWorld {
     for (int i = 0; i < 5'000'000; ++i) {
       if (done()) return;
       ASSERT_TRUE(engine.step()) << "engine drained before the condition held";
+      ASSERT_TRUE(index_matches_scan()) << "t=" << engine.now();
     }
     FAIL() << "condition not reached within the step budget";
   }
@@ -63,6 +77,7 @@ struct SlowWanWorld {
   util::Rng rng;
   net::LandmarkEstimator landmarks;
   std::unique_ptr<GridSystem> system;
+  std::unique_ptr<sim::PeriodicProcess> index_check;
 };
 
 TEST(ChurnRecovery, DemotionKeepsSuccessorCountsConsistentAcrossStaleNotifications) {
@@ -106,6 +121,7 @@ TEST(ChurnRecovery, DemotionKeepsSuccessorCountsConsistentAcrossStaleNotificatio
   w.system->inject_node_failure(b1);
   ASSERT_EQ(inst.tasks[s1i].state, TaskState::kFailed);
   w.system->run_scheduling_cycle();
+  ASSERT_TRUE(w.index_matches_scan());
   EXPECT_EQ(inst.tasks[s1i].state, TaskState::kWaiting);
   EXPECT_EQ(inst.tasks[s1i].unfinished_preds, 1);
   EXPECT_EQ(inst.tasks[ui].state, TaskState::kDispatched);
@@ -128,6 +144,7 @@ TEST(ChurnRecovery, DemotionKeepsSuccessorCountsConsistentAcrossStaleNotificatio
   w.system->inject_node_failure(b2);
   ASSERT_EQ(inst.tasks[s2i].state, TaskState::kFailed);
   w.system->run_scheduling_cycle();
+  ASSERT_TRUE(w.index_matches_scan());
 
   // The blind-increment bug left s1 (kWaiting, count already treating u as
   // unfinished) with unfinished_preds == 2 here; the kFailed-successor gap
@@ -142,6 +159,7 @@ TEST(ChurnRecovery, DemotionKeepsSuccessorCountsConsistentAcrossStaleNotificatio
   // be dropped; both successors only start after u's surviving re-execution
   // actually finished, and the workflow completes.
   w.engine.run_until(200000.0);
+  ASSERT_TRUE(w.index_matches_scan());
   ASSERT_TRUE(inst.done()) << "workflow stranded: recovery bookkeeping is inconsistent";
   EXPECT_GE(inst.tasks[s1i].started_at, inst.tasks[ui].finished_at)
       << "s1 started against data that did not exist yet";
@@ -177,6 +195,7 @@ TEST(ChurnRecovery, RepeatedDemotionOfAChainStaysConsistent) {
   w.system->inject_node_failure(b);
   ASSERT_EQ(inst.tasks[static_cast<std::size_t>(t1.get())].state, TaskState::kFailed);
   w.system->run_scheduling_cycle();
+  ASSERT_TRUE(w.index_matches_scan());
   // t0 demoted (its data died) and re-dispatched; t1 waits for it again.
   EXPECT_EQ(inst.tasks[static_cast<std::size_t>(t1.get())].state, TaskState::kWaiting);
   EXPECT_EQ(inst.tasks[static_cast<std::size_t>(t1.get())].unfinished_preds, 1);
@@ -186,6 +205,60 @@ TEST(ChurnRecovery, RepeatedDemotionOfAChainStaysConsistent) {
   EXPECT_GE(inst.tasks[static_cast<std::size_t>(t1.get())].started_at,
             inst.tasks[static_cast<std::size_t>(t0.get())].finished_at);
   EXPECT_GE(w.system->tasks_rescheduled(), 2u);
+}
+
+TEST(ChurnRecovery, DemotionReturnsAWaitingSchedulePointToWaiting) {
+  // e -> {u, v}; u -> s1; {u, v} -> s2; {s1, s2} -> x. s1 runs for a long
+  // time on one node while the slower branch v finishes and makes s2 a
+  // schedule point. Killing u's and s1's nodes before the next cycle makes
+  // recovery demote u, and s2 - a schedule point not yet dispatched - must go
+  // back to waiting on u's re-execution.
+  SlowWanWorld w;
+  dag::Workflow wf;
+  const auto e = wf.add_task(100.0, 10.0, "e");
+  const auto u = wf.add_task(2000.0, 10.0, "u");
+  const auto v = wf.add_task(20000.0, 10.0, "v");
+  const auto s1 = wf.add_task(400000.0, 10.0, "s1");
+  const auto s2 = wf.add_task(1000.0, 10.0, "s2");
+  const auto x = wf.add_task(10.0, 1.0, "x");
+  wf.add_dependency(e, u, 10.0);
+  wf.add_dependency(e, v, 10.0);
+  wf.add_dependency(u, s1, 10.0);
+  wf.add_dependency(u, s2, 10.0);
+  wf.add_dependency(v, s2, 10.0);
+  wf.add_dependency(s1, x, 10.0);
+  wf.add_dependency(s2, x, 10.0);
+  const NodeId home{0};
+  const auto id = w.system->submit(home, std::move(wf));
+  const auto& inst = w.system->workflow(id);
+  const auto ui = static_cast<std::size_t>(u.get());
+  const auto s1i = static_cast<std::size_t>(s1.get());
+  const auto s2i = static_cast<std::size_t>(s2.get());
+  w.system->start();
+
+  w.step_until([&] { return inst.tasks[s2i].state == TaskState::kSchedulable; });
+  ASSERT_EQ(inst.tasks[s1i].state, TaskState::kRunning) << "s1 must outlast v";
+  const NodeId a = inst.tasks[ui].exec_node;
+  const NodeId b = inst.tasks[s1i].exec_node;
+  ASSERT_NE(a, home);
+  ASSERT_NE(b, home);
+
+  w.system->inject_node_failure(a);
+  if (b != a) w.system->inject_node_failure(b);
+  ASSERT_EQ(inst.tasks[s1i].state, TaskState::kFailed);
+  ASSERT_EQ(inst.tasks[s2i].state, TaskState::kSchedulable);
+  ASSERT_TRUE(w.index_matches_scan());
+  w.system->run_scheduling_cycle();
+  ASSERT_TRUE(w.index_matches_scan());
+  EXPECT_EQ(inst.tasks[s2i].state, TaskState::kWaiting);
+  EXPECT_EQ(inst.tasks[s2i].unfinished_preds, 1);
+  // u re-executes (possibly after e, if e's output died on the same node).
+  EXPECT_NE(inst.tasks[ui].state, TaskState::kFinished);
+
+  w.engine.run_until(200000.0);
+  ASSERT_TRUE(w.index_matches_scan());
+  ASSERT_TRUE(inst.done()) << "workflow stranded: recovery bookkeeping is inconsistent";
+  EXPECT_GE(inst.tasks[s2i].started_at, inst.tasks[ui].finished_at);
 }
 
 }  // namespace

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace dpjit::grid {
 namespace {
 
@@ -107,6 +116,136 @@ TEST(GridNode, DrainReadyEmptiesAndReturns) {
   const auto drained = n.drain_ready();
   EXPECT_EQ(drained.size(), 2u);
   EXPECT_TRUE(n.ready().empty());
+}
+
+TEST(GridNode, FindReadyReturnsNullForAbsentRef) {
+  GridNode n(NodeId{0}, 1.0);
+  EXPECT_EQ(n.find_ready(TaskRef{WorkflowId{1}, TaskIndex{1}}), nullptr);
+  n.add_ready(task(1, 1, 10));
+  EXPECT_EQ(n.find_ready(TaskRef{WorkflowId{1}, TaskIndex{2}}), nullptr);
+  EXPECT_EQ(n.find_ready(TaskRef{WorkflowId{2}, TaskIndex{1}}), nullptr);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Differential check of the cached ready load and the back-first lookup:
+/// random add / remove / input arrival / start / finish / abort / drain
+/// sequences against a mirror ready set whose load is summed afresh, left to
+/// right, at every query. Loads span six decades so that any other summation
+/// order (e.g. subtracting removed loads from the cache) changes low bits.
+TEST(GridNode, RandomizedDifferentialAgainstFreshSum) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    GridNode n(NodeId{0}, rng.uniform(0.5, 16.0));
+    std::vector<ReadyTask> mirror;
+    std::optional<ReadyTask> running;
+    SimTime run_started = kNoTime;
+    SimTime run_finishes = kNoTime;
+    SimTime now = 0.0;
+    int next_task = 0;
+
+    const auto random_ref = [&] {
+      return TaskRef{WorkflowId{static_cast<int>(rng.uniform_int(0, 3))},
+                     TaskIndex{static_cast<int>(rng.uniform_int(0, next_task))}};
+    };
+    const auto forward_find = [&](TaskRef ref) -> const ReadyTask* {
+      for (const auto& t : n.ready()) {
+        if (t.ref == ref) return &t;
+      }
+      return nullptr;
+    };
+    const auto erase_from_mirror = [&](TaskRef ref) {
+      std::erase_if(mirror, [&](const ReadyTask& t) { return t.ref == ref; });
+    };
+
+    for (int op = 0; op < 4000; ++op) {
+      now += rng.exponential(3.0);
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {  // add a fresh task
+          ReadyTask t = task(static_cast<int>(rng.uniform_int(0, 3)), next_task++,
+                             rng.uniform01() * std::pow(10.0, rng.uniform_int(0, 6)),
+                             static_cast<int>(rng.uniform_int(0, 2)));
+          n.add_ready(t);
+          mirror.push_back(t);
+          break;
+        }
+        case 3: {  // remove a present or absent ref
+          const TaskRef ref = random_ref();
+          const bool present = forward_find(ref) != nullptr;
+          EXPECT_EQ(n.remove_ready(ref), present);
+          erase_from_mirror(ref);
+          break;
+        }
+        case 4: {  // an input arrives
+          if (mirror.empty()) break;
+          auto& m = mirror[rng.index(mirror.size())];
+          ReadyTask* r = n.find_ready(m.ref);
+          ASSERT_NE(r, nullptr);
+          if (m.pending_inputs > 0) {
+            --m.pending_inputs;
+            --r->pending_inputs;
+          }
+          break;
+        }
+        case 5: {  // start a data-complete task
+          if (n.busy()) break;
+          std::vector<TaskRef> startable;
+          for (const auto& m : mirror) {
+            if (m.pending_inputs == 0) startable.push_back(m.ref);
+          }
+          if (startable.empty()) break;
+          const TaskRef ref = startable[rng.index(startable.size())];
+          running = *std::find_if(mirror.begin(), mirror.end(),
+                                  [&](const ReadyTask& t) { return t.ref == ref; });
+          const double duration = n.start_running(ref, now);
+          run_started = now;
+          run_finishes = now + duration;
+          erase_from_mirror(ref);
+          break;
+        }
+        case 6:  // finish or abort the running task
+          if (!n.busy()) break;
+          if (rng.bernoulli(0.5)) {
+            EXPECT_EQ(n.finish_running().ref, running->ref);
+          } else {
+            EXPECT_EQ(n.abort_running()->ref, running->ref);
+          }
+          running.reset();
+          break;
+        case 7:  // drain (rare: keeps the sets deep)
+          if (rng.bernoulli(0.1)) {
+            EXPECT_EQ(n.drain_ready().size(), mirror.size());
+            mirror.clear();
+          }
+          break;
+        default:
+          break;
+      }
+
+      ASSERT_EQ(n.ready().size(), mirror.size());
+      for (std::size_t i = 0; i < mirror.size(); ++i) {
+        ASSERT_EQ(n.ready()[i].ref, mirror[i].ref) << "seed " << seed << " op " << op;
+      }
+
+      // Query at an arbitrary time, including before start and after finish.
+      const SimTime at = now + rng.uniform(-20.0, 40.0);
+      double fresh = 0.0;
+      for (const auto& m : mirror) fresh += m.load_mi;
+      if (running) {
+        const double span = run_finishes - run_started;
+        const double frac = span <= 0.0 ? 0.0 : std::clamp((run_finishes - at) / span, 0.0, 1.0);
+        fresh += running->load_mi * frac;
+      }
+      ASSERT_EQ(bits(n.total_load_mi(at)), bits(fresh)) << "seed " << seed << " op " << op;
+
+      const TaskRef probe = random_ref();
+      ASSERT_EQ(n.find_ready(probe), forward_find(probe)) << "seed " << seed << " op " << op;
+      const GridNode& cn = n;
+      ASSERT_EQ(cn.find_ready(probe), forward_find(probe));
+    }
+  }
 }
 
 }  // namespace
