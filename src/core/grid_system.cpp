@@ -8,58 +8,11 @@
 #include <utility>
 
 #include "core/rpm.hpp"
-#include "core/workflow_shard.hpp"
 #include "dag/critical_path.hpp"
 #include "net/routing.hpp"
 
 namespace dpjit::core {
 
-
-// ---------------------------------------------------------------------------
-// Shard mapping for the conservative time-window PDES loop.
-// ---------------------------------------------------------------------------
-
-ShardMap compute_shard_map(const net::Routing& routing, int shards) {
-  const int n = routing.node_count();
-  ShardMap map;
-  map.nodes = n;
-  map.shards = std::clamp(shards, 1, std::max(1, n));
-  map.shard_of.assign(static_cast<std::size_t>(std::max(0, n)), 0);
-
-  // Near-equal contiguous blocks: the first (n % shards) blocks get one extra
-  // node. Contiguity matters because callers lay out co-located entities
-  // (e.g. the scale model's regions) on consecutive ids.
-  const int base = map.shards > 0 ? n / map.shards : 0;
-  const int extra = map.shards > 0 ? n % map.shards : 0;
-  int begin = 0;
-  for (int s = 0; s < map.shards; ++s) {
-    const int size = base + (s < extra ? 1 : 0);
-    map.ranges.emplace_back(begin, begin + size);
-    for (int u = begin; u < begin + size; ++u) {
-      map.shard_of[static_cast<std::size_t>(u)] = s;
-    }
-    begin += size;
-  }
-
-  // Lookahead bounds from the routed latencies. The matrix is symmetric in
-  // practice (undirected links), but scan ordered pairs anyway: correctness
-  // must not depend on that.
-  map.lookahead_s = kInf;
-  map.min_latency_s = kInf;
-  for (int u = 0; u < n; ++u) {
-    for (int v = 0; v < n; ++v) {
-      if (u == v) continue;
-      const double lat = routing.latency_s(NodeId{u}, NodeId{v});
-      map.min_latency_s = std::min(map.min_latency_s, lat);
-      if (map.shard_of[static_cast<std::size_t>(u)] != map.shard_of[static_cast<std::size_t>(v)]) {
-        map.lookahead_s = std::min(map.lookahead_s, lat);
-      }
-    }
-  }
-  return map;
-}
-
-ShardMap GridSystem::shard_map(int shards) const { return compute_shard_map(routing_, shards); }
 
 // ---------------------------------------------------------------------------
 // DispatchContext implementation backed by the live system.
@@ -359,17 +312,12 @@ void GridSystem::start() {
 void GridSystem::run() {
   start();
   if (config_.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
-    // The quantised barrier/ledger loop (core/workflow_shard) owns the clock:
-    // it interleaves world epochs with frozen-rate ledger integration on a
-    // ShardEngine. shards = 1 is the serial case of the SAME loop - there is
-    // deliberately no second quantised code path to drift from it.
-    const ShardMap map = shard_map(config_.shards);
-    const double epoch = derive_quantised_epoch(map, config_.quantised_epoch_s);
-    const QuantisedRunStats stats = run_quantised_transfers(
-        engine_, *transfers_, map, epoch, config_.threads, config_.horizon_s);
+    // The quantised barrier loop owns the clock: it interleaves engine epochs
+    // with frozen-rate ledger integration.
+    const double epoch = grid::derive_quantised_epoch(routing_, config_.quantised_epoch_s);
+    const grid::QuantisedRunStats stats = transfers_->run_quantised(epoch, config_.horizon_s);
     quantised_barriers_ = stats.barriers;
     quantised_drains_ = stats.flows_drained;
-    quantised_parallel_windows_ = stats.parallel_windows;
     return;
   }
   engine_.run_until(config_.horizon_s);

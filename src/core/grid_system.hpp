@@ -34,41 +34,6 @@
 
 namespace dpjit::core {
 
-/// Partition of a routed network's nodes into contiguous shard blocks, plus
-/// the conservative-lookahead bounds the sharded PDES loop (sim::ShardEngine)
-/// needs. Produced by compute_shard_map / GridSystem::shard_map.
-///
-/// `lookahead_s` is the minimum routed latency between any two nodes living
-/// in DIFFERENT shards: a conservative time window of at most this length
-/// guarantees no cross-shard message can land inside the window it was sent
-/// from. `min_latency_s` is the minimum over ALL distinct pairs — the
-/// lookahead of the finest possible partition (every node its own shard) and
-/// therefore a window bound that is valid for EVERY shard count at once,
-/// which is what the byte-identical-digests-at-any-shard-count guarantee of
-/// the scale scenarios is built on. A zero lookahead (zero-latency link
-/// between shards) means the partition is not conservatively shardable;
-/// callers must fall back to fewer shards or clamp delays (see
-/// exp::run_scale_model).
-struct ShardMap {
-  int shards = 1;
-  int nodes = 0;
-  /// shard -> [begin, end) contiguous node-id block.
-  std::vector<std::pair<int, int>> ranges;
-  /// node -> owning shard.
-  std::vector<int> shard_of;
-  /// Min latency between nodes in different shards (+inf when shards == 1).
-  double lookahead_s = 0.0;
-  /// Min latency over all distinct node pairs (+inf when nodes < 2).
-  double min_latency_s = 0.0;
-
-  [[nodiscard]] int shard(NodeId n) const { return shard_of[static_cast<std::size_t>(n.get())]; }
-};
-
-/// Partitions the routing's nodes into `shards` near-equal contiguous blocks
-/// and derives the lookahead bounds from the routed latencies. `shards` is
-/// clamped to [1, node_count]. O(n^2) latency scan.
-[[nodiscard]] ShardMap compute_shard_map(const net::Routing& routing, int shards);
-
 /// Runtime state of one task instance.
 enum class TaskState {
   kWaiting,      ///< some precedent unfinished
@@ -151,15 +116,9 @@ struct SystemConfig {
   /// effective_network_mode() to resolve the pair.
   net::NetworkMode network_mode = net::NetworkMode::kBottleneck;
   /// Quantised-fair epoch length in seconds; <= 0 derives
-  /// max(min routed latency, 60 s) from the shard map (shard-count-invariant,
-  /// so the derived barrier schedule is too). Ignored by the other modes.
+  /// max(min routed latency, 60 s) (grid::derive_quantised_epoch). Ignored by
+  /// the other modes.
   double quantised_epoch_s = 0.0;
-  /// Quantised-fair barrier loop only: ledger shard count and worker threads
-  /// for the sim::ShardEngine run (core/workflow_shard). Results are
-  /// byte-identical at any setting; these are wall-clock knobs. Ignored - with
-  /// a stderr note from the scenario runner - by the zero-lookahead modes.
-  int shards = 1;
-  int threads = 1;
   /// Extension (paper future work): reschedule tasks lost to churn.
   bool reschedule_failed = false;
   /// Result collection: completed task outputs are also retained at the
@@ -238,10 +197,6 @@ class GridSystem {
   /// Runs one scheduling cycle immediately (tests drive this directly).
   void run_scheduling_cycle();
 
-  /// Partitions this system's nodes into `shards` contiguous blocks with
-  /// lookahead bounds from the live routing (see compute_shard_map).
-  [[nodiscard]] ShardMap shard_map(int shards) const;
-
   /// Fault injection: forcibly disconnects a node right now, exactly as churn
   /// would (running/ready tasks fail, transfers abort, gossip state clears).
   /// Disconnecting a node that hosts submitted workflows strands them.
@@ -259,12 +214,9 @@ class GridSystem {
   [[nodiscard]] std::uint64_t tasks_reoffered() const { return tasks_reoffered_; }
 
   // --- quantised-mode observability (all 0 unless run() executed under
-  // NetworkMode::kQuantisedFair; see core/workflow_shard) ---
+  // NetworkMode::kQuantisedFair; see grid::TransferManager::run_quantised) ---
   [[nodiscard]] std::uint64_t quantised_barriers() const { return quantised_barriers_; }
   [[nodiscard]] std::uint64_t quantised_drains() const { return quantised_drains_; }
-  [[nodiscard]] std::uint64_t quantised_parallel_windows() const {
-    return quantised_parallel_windows_;
-  }
 
  private:
   friend class SystemDispatchContext;
@@ -365,7 +317,6 @@ class GridSystem {
   std::uint64_t tasks_reoffered_ = 0;
   std::uint64_t quantised_barriers_ = 0;
   std::uint64_t quantised_drains_ = 0;
-  std::uint64_t quantised_parallel_windows_ = 0;
   bool started_ = false;
 };
 

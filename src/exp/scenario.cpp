@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "exp/sample_trace.hpp"
-#include "exp/scale_model.hpp"
 
 namespace dpjit::exp {
 namespace {
@@ -149,16 +148,14 @@ ScenarioRegistry build_registry() {
              c.set_data_range(100, 10000);
            })});
 
-  // --- epoch-quantised fair sharing: the sharded contended mode ------------
-  // The net::NetworkModel seam's third mode (ROADMAP item 1): max-min rates
-  // frozen per epoch, re-solved only at barriers, volume advanced lazily by
-  // per-shard flow ledgers on sim::ShardEngine (core/workflow_shard). Same
-  // transfer-bound CCR as the contention/* family so the frozen-rate
-  // approximation is actually load-bearing; epochs are set explicitly here
-  // (60 s = one gossip-cycle fifth, 300 s = one full cycle) so the barrier
-  // schedule does not depend on the topology draw. Digests are byte-identical
-  // at ANY --shards/--threads setting - the shard-determinism CI job diffs
-  // several counts against the same golden entries.
+  // --- epoch-quantised fair sharing ----------------------------------------
+  // The net::NetworkModel seam's third mode: max-min rates frozen per epoch,
+  // re-solved only at barriers, volume advanced lazily by the barrier loop's
+  // flow ledger (grid::TransferManager::run_quantised). Same transfer-bound
+  // CCR as the contention/* family so the frozen-rate approximation is
+  // actually load-bearing; epochs are set explicitly here (60 s = one
+  // gossip-cycle fifth, 300 s = one full cycle) so the barrier schedule does
+  // not depend on the topology draw.
   reg.add({"quantised/fair-epoch60",
            "epoch-quantised fair sharing, 60 s epochs: data-heavy CCR ~ 16 so concurrent "
            "transfers contend, rates frozen between barriers, ledger-advanced volumes",
@@ -231,38 +228,6 @@ ScenarioRegistry build_registry() {
              c.system.churn.wave_every = 4;
              c.system.churn.wave_multiplier = 3.0;
            })});
-  // --- sharded scale family (ROADMAP item 1) -------------------------------
-  // These run exp::run_scale_model on the conservative time-window engine
-  // (sim::ShardEngine) instead of the full GridSystem world: O(1)-state peers
-  // over a routed region backbone, so 10^5-10^6 peers are reachable and the
-  // run accepts a shard count with byte-identical digests at every count.
-  reg.add({"scale/peers-100k",
-           "10^5-peer sharded scale model: push-pull gossip, task execution and bulk "
-           "transfers over a 64-region backbone, 1 h horizon",
-           "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
-             c.nodes = 100000;
-             c.system.horizon_s = 3600.0;
-           }),
-           /*sharded=*/true});
-  reg.add({"scale/peers-churn-100k",
-           "10^5-peer scale model under churn (dynamic factor 0.2): departures notify "
-           "contacts cross-shard, in-flight work at departed peers is dropped",
-           "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
-             c.nodes = 100000;
-             c.system.horizon_s = 3600.0;
-             c.dynamic_factor = 0.2;
-           }),
-           /*sharded=*/true});
-  reg.add({"scale/million-node",
-           "10^6-peer scale model, 30 min horizon with a 10-minute scheduling period: the "
-           "nightly-CI scale point (expect minutes of wall clock and ~1 GB of memory)",
-           "", RuntimeTier::kSlow, mutate([](ExperimentConfig& c) {
-             c.nodes = 1000000;
-             c.system.horizon_s = 1800.0;
-             c.system.scheduling_interval_s = 600.0;
-           }),
-           /*sharded=*/true});
-
   // --- realism: deterministic fault injection (ROADMAP item 5) -------------
   // The idealized counterparts of these runs deliver every gossip exchange
   // atomically and give every node oracular membership. Here the gossip runs
@@ -458,33 +423,8 @@ ExperimentConfig conformance_preset(ExperimentConfig cfg) {
   return cfg;
 }
 
-std::uint64_t conformance_digest(const Scenario& scenario) { return conformance_digest(scenario, 1); }
-
-std::uint64_t conformance_digest(const Scenario& scenario, int shards) {
-  return conformance_digest(scenario, shards, 1);
-}
-
-std::uint64_t conformance_digest(const Scenario& scenario, int shards, int threads) {
-  ExperimentConfig cfg = conformance_preset(scenario.config());
-  if (scenario.sharded) {
-    ScaleParams params = scale_params_from_config(cfg);
-    params.shards = shards;
-    params.threads = threads;
-    return scale_digest(run_scale_model(params));
-  }
-  if (cfg.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
-    // Quantised classic scenarios shard through the epoch-barrier driver
-    // (core/workflow_shard): the digest is byte-identical at every shard and
-    // thread count, checked against the SAME golden entry by tests/scenario
-    // and the shard-determinism CI job.
-    cfg.system.shards = shards;
-    cfg.system.threads = threads;
-    return result_digest(run_experiment(cfg));
-  }
-  // Zero-lookahead classic scenarios run the serial engine whatever `shards`
-  // says — see Scenario::sharded for why they cannot be partitioned
-  // conservatively.
-  return result_digest(run_experiment(cfg));
+std::uint64_t conformance_digest(const Scenario& scenario) {
+  return result_digest(run_experiment(conformance_preset(scenario.config())));
 }
 
 void write_digest_document(std::ostream& os,

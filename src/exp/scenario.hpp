@@ -38,18 +38,6 @@ struct Scenario {
   RuntimeTier tier = RuntimeTier::kMedium;
   /// Shapes a base configuration. Must be pure: same input, same output.
   std::function<ExperimentConfig(ExperimentConfig)> transform;
-  /// True for scale/* scenarios: the run executes the sharded scale model
-  /// (exp::run_scale_model on sim::ShardEngine) instead of the full
-  /// GridSystem world, and a shard count may be applied — with byte-identical
-  /// digests at every count. Classic scenarios fall into two camps (see the
-  /// mode matrix in net/network_model.hpp): quantised/* runs shard too — the
-  /// epoch-barrier driver (core/workflow_shard) accepts any shard/thread
-  /// count with byte-identical digests, so this flag stays false and the
-  /// count flows through SystemConfig::shards instead — while zero-lookahead
-  /// modes (bottleneck, fluid fair sharing: instant rate coupling, shared RNG
-  /// streams) cannot partition conservatively and always run the serial
-  /// engine, ignoring any requested count.
-  bool sharded = false;
 
   /// Applies the transform to `base` (CLI/bench overrides survive unless the
   /// scenario explicitly owns the knob, e.g. "-n500" scenarios set nodes).
@@ -106,18 +94,6 @@ inline constexpr int kConformanceMaxNodes = 64;
 
 /// Runs one scenario under the conformance preset and digests the result.
 [[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario);
-
-/// Same, executing a sharded scenario at the given shard count (>= 1). The
-/// digest is shard-invariant — tests/scenario and the shard-determinism CI
-/// job check every count against the SAME golden entry. `shards` is applied
-/// to scale/* scenarios (exp::run_scale_model) AND to classic scenarios on
-/// the quantised network mode (the core/workflow_shard barrier driver); the
-/// zero-lookahead classic scenarios ignore it (see Scenario::sharded).
-[[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario, int shards);
-
-/// Same, additionally pinning the worker-thread count of the sharded run
-/// (also digest-neutral; the determinism tests sweep both axes).
-[[nodiscard]] std::uint64_t conformance_digest(const Scenario& scenario, int shards, int threads);
 
 /// Writes the canonical golden-digest document (valid JSON, one scenario per
 /// line, sorted by name) — the exact bytes committed as

@@ -112,9 +112,9 @@ struct ExperimentConfig {
   /// experiment-level `fair_sharing` convenience flag (copied into the
   /// SystemConfig only at build time, see build_system_config) into
   /// SystemConfig::effective_network_mode(). Callers inspecting an unbuilt
-  /// config (scenario_runner --describe, the ignored---shards warning) must
-  /// use THIS, not cfg.system.effective_network_mode(), or fluid scenarios
-  /// misreport as bottleneck.
+  /// config (scenario_runner --describe) must use THIS, not
+  /// cfg.system.effective_network_mode(), or fluid scenarios misreport as
+  /// bottleneck.
   [[nodiscard]] net::NetworkMode effective_network_mode() const {
     if (system.network_mode != net::NetworkMode::kBottleneck) return system.network_mode;
     return (fair_sharing || system.fair_sharing) ? net::NetworkMode::kFluidFair

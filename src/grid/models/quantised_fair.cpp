@@ -1,28 +1,28 @@
-// Epoch-quantised max-min fair sharing (Mode::kQuantisedFair) - the
-// lookahead-compatible contended model (ROADMAP item 1).
+// Epoch-quantised max-min fair sharing (Mode::kQuantisedFair) and the
+// serial barrier loop that drives it (run_quantised).
 //
-// Contract with the barrier driver (core/workflow_shard.cpp):
+// Barrier/deliver contract:
 //  - The manager never schedules completion events. Flow volume is advanced
-//    LAZILY, once per epoch, by per-shard ledgers owned by the driver
-//    (the ROADMAP item 3 eager-advance residue, fixed for this mode only).
-//  - quantised_barrier() runs at every epoch barrier t = kE with the world
-//    engine already advanced to kE. It admits the propagation-complete joins
+//    LAZILY, once per epoch, by the loop's flow ledger.
+//  - quantised_barrier() runs at every epoch barrier t_k with the engine
+//    already advanced to t_k. It admits the propagation-complete joins
 //    queued since the last barrier, re-freezes every active flow's rate from
 //    the solver, aborts barrier-stalled flows and hands back the id-sorted
-//    delta (joins / rate changes / cancels) the ledgers apply for [kE,(k+1)E).
+//    delta (joins / rate changes / cancels) the ledger applies for
+//    [t_k, t_{k+1}).
 //  - Aborts between barriers (churn, link failure, task failure) fire their
 //    callbacks immediately and leave the solver immediately, but surviving
 //    flows' FROZEN rates do not move until the next barrier; the aborted ids
 //    are queued as ledger cancels. A drain report racing such an abort is
 //    skipped by the flows_ membership check in quantised_deliver().
-//  - quantised_deliver() runs at a barrier with ledger-detected drains,
-//    globally (finish_s, id)-sorted by the driver so the callback order is
-//    invariant to how the drained flows partition across shards.
-//
-// Everything here is driven by world-engine events and barrier closures on
-// shard 0 only; the parallel shards touch nothing but their own ledgers.
+//  - quantised_deliver() runs at a barrier with the ledger-detected drains,
+//    (finish_s, id)-sorted so the callback order is deterministic.
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "grid/models/transfer_model_detail.hpp"
@@ -105,7 +105,7 @@ QuantisedBarrierDelta TransferManager::quantised_barrier() {
       continue;
     }
     if (flow.rate_mbps == kUnratedSentinel) {
-      delta.joins.push_back(QuantisedJoin{id, flow.src, flow.remaining_mb, rate});
+      delta.joins.push_back(QuantisedJoin{id, flow.remaining_mb, rate});
     } else if (rate != flow.rate_mbps) {
       delta.rate_changes.push_back(QuantisedRateChange{id, rate});
     }
@@ -115,7 +115,7 @@ QuantisedBarrierDelta TransferManager::quantised_barrier() {
 
   // 3. Ship the cancels accumulated since the last barrier LAST: stall (and
   // zero-size) callbacks above may have aborted flows already emitted into
-  // `joins`/`rate_changes`, and the ledgers apply joins -> rate changes ->
+  // `joins`/`rate_changes`, and the ledger applies joins -> rate changes ->
   // cancels, so a same-barrier cancel always wins.
   delta.cancels = std::move(pending_cancels_);
   pending_cancels_.clear();
@@ -138,9 +138,9 @@ void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& 
     if (flow.fluid) {
       assert(flow.event == sim::EventQueue::kInvalidHandle);
       pool_ids.push_back(id);
-      // The ledger owning this flow learns about the abort at the next
-      // barrier; a drain it reports in the meantime is skipped by the
-      // membership check in quantised_deliver().
+      // The ledger learns about the abort at the next barrier; a drain it
+      // reports in the meantime is skipped by the membership check in
+      // quantised_deliver().
       pending_cancels_.push_back(id);
     } else {
       // Latency-phase, pending-join or loopback flow: kill its timer (a
@@ -191,6 +191,88 @@ void TransferManager::quantised_deliver(const std::vector<QuantisedDone>& done) 
   for (auto& cb : callbacks) {
     if (cb) cb(true);
   }
+}
+
+QuantisedRunStats TransferManager::run_quantised(double epoch_s, SimTime horizon) {
+  assert(mode_ == Mode::kQuantisedFair);
+  if (!(epoch_s > 0.0) || !std::isfinite(epoch_s)) {
+    throw std::invalid_argument("run_quantised: epoch must be positive and finite");
+  }
+  /// Ledger-side state of one admitted flow: what is left and the epoch's
+  /// frozen rate. The manager deliberately does NOT advance its own
+  /// remaining_mb in this mode - volume lives here and only here.
+  struct LedgerFlow {
+    double remaining_mb = 0.0;
+    double rate_mbps = 0.0;
+  };
+  std::unordered_map<std::uint64_t, LedgerFlow> ledger;
+  QuantisedRunStats stats;
+  QuantisedBarrierDelta previous;  // barrier k-1's delta, driven at barrier k
+  SimTime previous_t = 0.0;
+  std::vector<QuantisedDone> drained;  // reported at barrier k-1, delivered at k
+
+  // Repeated addition, not k * epoch: the barrier instants are part of the
+  // golden digests and must not move. At barrier 0 `previous` is empty, so
+  // its drive is a no-op.
+  for (SimTime t = 0.0; t <= horizon; t += epoch_s) {
+    // 1-3: the engine catches up, last barrier's drains land, and the
+    // barrier admits and re-solves.
+    engine_.run_until(t);
+    quantised_deliver(drained);
+    drained.clear();
+    QuantisedBarrierDelta delta = quantised_barrier();
+    ++stats.barriers;
+
+    // 4: drive the previous barrier's delta over [previous_t, t). Cancels
+    // go last, so a flow joined and cancelled at one barrier never drains.
+    for (const QuantisedJoin& j : previous.joins) {
+      ledger[j.id] = LedgerFlow{j.remaining_mb, j.rate_mbps};
+    }
+    for (const QuantisedRateChange& rc : previous.rate_changes) {
+      if (const auto it = ledger.find(rc.id); it != ledger.end()) {
+        it->second.rate_mbps = rc.rate_mbps;
+      }
+    }
+    for (const std::uint64_t id : previous.cancels) stats.flows_cancelled += ledger.erase(id);
+    stats.flows_joined += previous.joins.size();
+    for (auto& [id, f] : ledger) {
+      // The barrier's stall guard aborts zero-rate flows at admission and
+      // removals never lower surviving solver rates, so every ledger rate
+      // is strictly positive and the division below is safe.
+      if (f.remaining_mb - f.rate_mbps * epoch_s <= kEpsilonMb) {
+        const double finish = previous_t + std::min(epoch_s, f.remaining_mb / f.rate_mbps);
+        drained.push_back(QuantisedDone{finish, id});
+      } else {
+        f.remaining_mb -= f.rate_mbps * epoch_s;
+      }
+    }
+    // Hash-order collection: sort so the delivery order is deterministic.
+    std::sort(drained.begin(), drained.end(), [](const auto& a, const auto& b) {
+      return a.finish_s != b.finish_s ? a.finish_s < b.finish_s : a.id < b.id;
+    });
+    for (const QuantisedDone& d : drained) ledger.erase(d.id);
+    stats.flows_drained += drained.size();
+
+    previous = std::move(delta);
+    previous_t = t;
+  }
+  engine_.run_until(horizon);
+  return stats;
+}
+
+double derive_quantised_epoch(const net::Routing& routing, double requested_s) {
+  if (requested_s > 0.0) return requested_s;
+  constexpr double kFloorS = 60.0;
+  double min_latency_s = std::numeric_limits<double>::infinity();
+  const int n = routing.node_count();
+  for (int u = 0; u < n; ++u) {
+    for (int v = 0; v < n; ++v) {
+      if (u == v) continue;
+      min_latency_s = std::min(min_latency_s, routing.latency_s(NodeId{u}, NodeId{v}));
+    }
+  }
+  if (!std::isfinite(min_latency_s)) return kFloorS;  // < 2 nodes
+  return std::max(min_latency_s, kFloorS);
 }
 
 std::size_t TransferManager::quantised_active() const {

@@ -16,20 +16,18 @@
 //    absolute finish times, re-keyed only for the flows each component
 //    re-solve actually updated) instead of a per-event O(active) scan.
 //    Machinery: models/fluid_fair.cpp.
-//  - kQuantisedFair: epoch-quantised max-min fair sharing, the
-//    lookahead-compatible contended mode (ROADMAP item 1). Rates are
+//  - kQuantisedFair: epoch-quantised max-min fair sharing. Rates are
 //    re-solved ONLY at epoch barriers and frozen in between; flows finishing
 //    their propagation phase queue as pending joins and enter the solver at
-//    the next barrier; remaining volume is advanced LAZILY once per epoch
-//    (per-shard flow ledgers in core/workflow_shard, not O(flows) per
-//    mutation like the fluid mode's eager advance - ROADMAP item 3 residue,
-//    fixed here for this mode only); completions are detected by the ledgers
-//    and delivered back through quantised_deliver() two barriers after the
-//    epoch in which they drained. Aborts (churn, link failure, task failure)
-//    fire immediately and leave the solver at once, but the frozen rates of
-//    surviving flows do not move until the next barrier. The manager itself
-//    schedules NO completion events in this mode - the barrier/ledger driver
-//    owns the clock. Machinery: models/quantised_fair.cpp.
+//    the next barrier; remaining volume is advanced LAZILY once per epoch by
+//    the flow ledger of run_quantised() (not O(flows) per mutation like the
+//    fluid mode's eager advance); completions are detected by the ledger and
+//    delivered back through quantised_deliver() two barriers after the epoch
+//    in which they drained. Aborts (churn, link failure, task failure) fire
+//    immediately and leave the solver at once, but the frozen rates of
+//    surviving flows do not move until the next barrier. The manager
+//    schedules NO completion events in this mode - the barrier loop owns the
+//    clock. Machinery: models/quantised_fair.cpp.
 //
 // The manager also implements net::RateOracle: what-if transfer-rate and
 // transfer-time queries against the live network, consumed by the
@@ -68,7 +66,6 @@ namespace dpjit::grid {
 /// ledger-side initial state (remaining volume and the epoch's frozen rate).
 struct QuantisedJoin {
   std::uint64_t id = 0;
-  NodeId src{};  ///< ledger-owner selector: flows live on shard(src)
   double remaining_mb = 0.0;
   double rate_mbps = 0.0;
 };
@@ -79,10 +76,10 @@ struct QuantisedRateChange {
   double rate_mbps = 0.0;
 };
 
-/// Everything the per-shard flow ledgers must learn at one epoch barrier.
-/// Entries are id-sorted; a flow aborted by a barrier-time stall shows up in
-/// `cancels` (possibly without ever having been joined - ledgers ignore
-/// unknown ids).
+/// Everything the flow ledger must learn at one epoch barrier. Entries are
+/// id-sorted; a flow aborted by a barrier-time stall shows up in `cancels`
+/// (possibly without ever having been joined - the ledger ignores unknown
+/// ids).
 struct QuantisedBarrierDelta {
   std::vector<QuantisedJoin> joins;
   std::vector<QuantisedRateChange> rate_changes;
@@ -90,12 +87,25 @@ struct QuantisedBarrierDelta {
 };
 
 /// One ledger-detected drain: the exact in-epoch finish time plus the flow.
-/// Deliveries are globally sorted by (finish_s, id) before callbacks fire, so
-/// the order is invariant to how drained flows partition across shards.
+/// Deliveries are sorted by (finish_s, id) before callbacks fire.
 struct QuantisedDone {
   SimTime finish_s = 0.0;
   std::uint64_t id = 0;
 };
+
+/// Observability of one quantised barrier-loop run (run_quantised()).
+struct QuantisedRunStats {
+  std::uint64_t barriers = 0;         ///< epoch barriers executed
+  std::uint64_t flows_joined = 0;     ///< flows admitted to the ledger
+  std::uint64_t flows_drained = 0;    ///< ledger-detected drains
+  std::uint64_t flows_cancelled = 0;  ///< mid-epoch aborts the ledger applied
+};
+
+/// The quantised epoch actually used for a run: `requested_s` when positive,
+/// otherwise max(min routed latency over all distinct node pairs, 60 s). The
+/// 60 s floor keeps WAN topologies (sub-millisecond routed latencies) from
+/// degenerating into millions of near-empty barriers. O(n^2) latency scan.
+[[nodiscard]] double derive_quantised_epoch(const net::Routing& routing, double requested_s);
 
 class TransferManager : public net::RateOracle {
  public:
@@ -143,13 +153,26 @@ class TransferManager : public net::RateOracle {
   [[nodiscard]] Mode mode() const { return mode_; }
 
   // --- quantised-fair barrier protocol (models/quantised_fair.cpp) ----------
-  // Driven by core::run_quantised_transfers; unit tests call it directly.
   // Only valid in Mode::kQuantisedFair.
+
+  /// The quantised barrier loop: drives the engine to `horizon` in epochs of
+  /// `epoch_s` (> 0, finite) seconds. Barrier k at t_k = t_{k-1} + epoch_s
+  /// (t_0 = 0, accumulated, while t_k <= horizon):
+  ///   1. engine.run_until(t_k) - every grid event of the epoch;
+  ///   2. deliver the (finish_s, id)-sorted drains step 4 reported at t_{k-1};
+  ///   3. quantised_barrier() - admissions and the epoch's frozen re-solve;
+  ///   4. drive barrier k-1's delta over [t_{k-1}, t_k): apply joins, rate
+  ///      changes, then cancels (a same-barrier cancel beats its own join),
+  ///      integrate every ledger flow once and report the drains.
+  /// A flow that drains in [t_{k-1}, t_k) is therefore delivered at t_{k+1},
+  /// two epochs later. Afterwards the engine runs its tail events in
+  /// (last barrier, horizon]; flows still in flight do not complete.
+  QuantisedRunStats run_quantised(double epoch_s, SimTime horizon);
 
   /// Executes one epoch barrier at the engine's current time: delivers
   /// zero-size pending joins, admits the rest to the solver, re-freezes every
   /// active flow's rate, aborts barrier-stalled (zero-rate) flows, and
-  /// returns the id-sorted delta the flow ledgers must apply for the coming
+  /// returns the id-sorted delta the flow ledger must apply for the coming
   /// epoch. Bumps the barrier stamp the probe cache keys on.
   [[nodiscard]] QuantisedBarrierDelta quantised_barrier();
 
@@ -236,7 +259,7 @@ class TransferManager : public net::RateOracle {
   void fair_flow_started(std::uint64_t id);
   /// Integrates remaining_mb of every fluid flow up to engine time. The
   /// eager O(flows)-per-mutation advance is fluid-mode only; quantised mode
-  /// advances lazily at epoch barriers (ROADMAP item 3).
+  /// advances lazily at epoch barriers.
   void fair_advance_to_now();
   /// Pulls solver_.updated() into the flows' rate_mbps and re-keys their
   /// next-completion projections (the only entries a component re-solve can
@@ -298,7 +321,7 @@ class TransferManager : public net::RateOracle {
   /// Flows whose propagation finished since the last barrier (may hold stale
   /// ids of flows aborted before admission; admission re-checks).
   std::vector<std::uint64_t> pending_joins_;
-  /// Ids the ledgers must drop at the next barrier (aborted mid-epoch).
+  /// Ids the ledger must drop at the next barrier (aborted mid-epoch).
   std::vector<std::uint64_t> pending_cancels_;
   /// Epoch barriers executed; part of the probe-cache key in quantised mode.
   std::uint64_t barrier_stamp_ = 0;

@@ -4,12 +4,8 @@
 // result-neutral: attaching it (force_attach) schedules no events and
 // consumes no randomness, so the result digest — which covers
 // events_processed — is byte-identical to the no-plan path. This test proves
-// that across EVERY registered classic scenario at the conformance preset,
-// plus a handful of extra seeds on representative scenarios.
-//
-// Sharded scale/* scenarios run exp::run_scale_model, which has no fault
-// hooks (the plan attaches inside exp::World only), so the differential is
-// vacuous there and they are skipped.
+// that across EVERY registered scenario at the conformance preset, plus a
+// handful of extra seeds on representative scenarios.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -44,15 +40,13 @@ TEST_P(FaultNeutrality, ZeroProbabilityPlanIsByteIdentical) {
          "code runs (or draws randomness) when no faults are configured.";
 }
 
-std::vector<std::string> classic_scenario_names() {
+std::vector<std::string> scenario_names() {
   std::vector<std::string> names;
-  for (const auto& s : scenario_registry().all()) {
-    if (!s.sharded) names.push_back(s.name);
-  }
+  for (const auto& s : scenario_registry().all()) names.push_back(s.name);
   return names;
 }
 
-INSTANTIATE_TEST_SUITE_P(All, FaultNeutrality, ::testing::ValuesIn(classic_scenario_names()),
+INSTANTIATE_TEST_SUITE_P(All, FaultNeutrality, ::testing::ValuesIn(scenario_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

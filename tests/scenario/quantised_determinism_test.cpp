@@ -1,15 +1,11 @@
-// PR 9 acceptance at the scenario level: the quantised/* family reproduces
-// its committed golden digest at every (shards, threads) combination — the
-// classic workflow path now shards byte-identically through the epoch-barrier
-// driver — and the quantised network model converges to the fluid fair-share
-// reference as the epoch shrinks (epoch -> 0 differential).
+// The quantised/* family at the scenario level: every member runs the
+// epoch-quantised network model (its golden digests are checked with the
+// rest of the registry in scenario_conformance_test), and the quantised
+// model stays in the fluid fair-share reference's envelope as the epoch
+// shrinks (epoch -> 0 differential).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "exp/experiment.hpp"
 #include "exp/scenario.hpp"
@@ -18,57 +14,14 @@
 namespace dpjit::exp {
 namespace {
 
-const std::map<std::string, std::uint64_t>& golden_digests() {
-  static const std::map<std::string, std::uint64_t> golden = [] {
-    std::ifstream in(DPJIT_SCENARIO_GOLDEN_FILE);
-    if (!in) throw std::runtime_error("cannot open " DPJIT_SCENARIO_GOLDEN_FILE);
-    return parse_digest_document(in);
-  }();
-  return golden;
-}
-
 TEST(QuantisedDeterminism, RegistryHasTheQuantisedFamily) {
   const auto family = scenario_registry().family("quantised/");
   EXPECT_GE(family.size(), 3u);
   for (const Scenario* s : family) {
-    // The quantised scenarios shard through SystemConfig::shards, not the
-    // scale-model path, so the flag must stay false (see Scenario::sharded).
-    EXPECT_FALSE(s->sharded) << s->name;
     const auto cfg = s->config();
     EXPECT_EQ(cfg.system.effective_network_mode(), net::NetworkMode::kQuantisedFair) << s->name;
   }
 }
-
-class QuantisedScenario : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(QuantisedScenario, GoldenDigestAtEveryShardAndThreadCount) {
-  const auto& scenario = scenario_registry().at(GetParam());
-  const auto it = golden_digests().find(scenario.name);
-  ASSERT_NE(it, golden_digests().end()) << "no golden digest for " << scenario.name;
-  for (const int shards : {1, 2, 4}) {
-    for (const int threads : {1, 2}) {
-      EXPECT_EQ(conformance_digest(scenario, shards, threads), it->second)
-          << scenario.name << " diverged from its golden at shards=" << shards
-          << " threads=" << threads
-          << ": the epoch-barrier driver is no longer byte-identical to serial.";
-    }
-  }
-}
-
-std::vector<std::string> quantised_scenario_names() {
-  std::vector<std::string> names;
-  for (const Scenario* s : scenario_registry().family("quantised/")) names.push_back(s->name);
-  return names;
-}
-
-INSTANTIATE_TEST_SUITE_P(All, QuantisedScenario, ::testing::ValuesIn(quantised_scenario_names()),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '/' || c == '-') c = '_';
-                           }
-                           return name;
-                         });
 
 TEST(QuantisedDeterminism, QuantisedStaysInTheFluidEnvelopeAtEveryEpoch) {
   // The experiment-level half of the epoch -> 0 differential. The CLOSED
@@ -77,7 +30,7 @@ TEST(QuantisedDeterminism, QuantisedStaysInTheFluidEnvelopeAtEveryEpoch) {
   // in the epoch — an epoch sweep at conformance scale lands anywhere in
   // roughly +-30% of the fluid mean response, non-monotonically. The strict
   // monotone-convergence statement therefore lives where it is provable, on
-  // open-loop flow sets against the barrier driver
+  // open-loop flow sets against the barrier loop
   // (FluidDifferential.QuantisedContendedErrorIsLinearInTheEpochAndMonotone);
   // HERE we pin the whole reactive system to the fluid reference's envelope:
   // every epoch must produce a healthy run in a bounded band around fluid,

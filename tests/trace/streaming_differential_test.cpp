@@ -1,7 +1,7 @@
 // The collector-equivalence contract, end-to-end: replaying the exact report
 // and cycle streams of a real conformance-preset run into a
 // StreamingMetricsCollector reproduces every digested summary bitwise, for
-// EVERY classic scenario in the registry — and full A/B World runs with
+// EVERY scenario in the registry — and full A/B World runs with
 // streaming_metrics toggled produce the same result_digest, so selecting the
 // O(1)-memory collector can never move a golden.
 #include <gtest/gtest.h>
@@ -19,13 +19,9 @@
 namespace dpjit::exp {
 namespace {
 
-std::vector<std::string> classic_scenario_names() {
-  // scale/* scenarios run the sharded scale model, not a World with a
-  // metrics collector; everything else goes through the MetricsSink seam.
+std::vector<std::string> scenario_names() {
   std::vector<std::string> names;
-  for (const auto& s : scenario_registry().all()) {
-    if (!s.sharded) names.push_back(s.name);
-  }
+  for (const auto& s : scenario_registry().all()) names.push_back(s.name);
   return names;
 }
 
@@ -73,7 +69,7 @@ TEST_P(StreamingReplayDifferential, ReplayMatchesBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClassic, StreamingReplayDifferential,
-                         ::testing::ValuesIn(classic_scenario_names()),
+                         ::testing::ValuesIn(scenario_names()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

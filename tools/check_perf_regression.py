@@ -58,15 +58,9 @@ def main() -> None:
     base_nc = "next_completion"
     if current.get("quick") and "quick_next_completion" in baseline:
         base_nc = "quick_next_completion"
-    base_se = "shard_engine"
-    if current.get("quick") and "quick_shard_engine" in baseline:
-        base_se = "quick_shard_engine"
     base_or = "oracle"
     if current.get("quick") and "quick_oracle" in baseline:
         base_or = "quick_oracle"
-    base_ws = "workflow_shard"
-    if current.get("quick") and "quick_workflow_shard" in baseline:
-        base_ws = "quick_workflow_shard"
     base_sm = "streaming_metrics"
     if current.get("quick") and "quick_streaming_metrics" in baseline:
         base_sm = "quick_streaming_metrics"
@@ -75,8 +69,6 @@ def main() -> None:
         ("event_queue", base_eq, "schedule_cancel_pop_speedup"),
         ("transfer", base_tr, "fair_sharing_speedup"),
         ("next_completion", base_nc, "arming_speedup"),
-        ("shard_engine", base_se, "sharded_speedup"),
-        ("workflow_shard", base_ws, "sharded_speedup"),
         ("oracle", base_or, "probe_cache_speedup"),
         # The streaming collector must stay free on the hot path: the
         # streaming/retaining dispatch-throughput ratio sits near 1.0 and a
@@ -91,11 +83,7 @@ def main() -> None:
         ("next_completion", "index_completions_per_s"),
         ("end_to_end", "events_per_s"),
         ("routing", "build_ms"),
-        ("shard_engine", "serial_events_per_s"),
-        ("shard_engine", "sharded_s"),
-        ("shard_engine", "parallel_windows"),
-        ("workflow_shard", "serial_s"),
-        ("workflow_shard", "sharded_s"),
+        ("workflow_shard", "wall_s"),
         ("oracle", "reference_probes_per_s"),
         ("oracle", "uncached_probes_per_s"),
         ("oracle", "cached_probes_per_s"),
@@ -144,9 +132,8 @@ def main() -> None:
     else:
         print(f"digest ok vs recorded {recorded[0]}")
 
-    # Same treatment for the quantised workflow-shard run (the harness already
-    # hard-fails if serial and sharded diverge within one run; this catches a
-    # cross-commit output change at the same scale/seed).
+    # Same treatment for the quantised workflow run (the serial barrier loop):
+    # this catches a cross-commit output change at the same scale/seed.
     cur_ws = current.get("workflow_shard", {})
     for section in ("workflow_shard", "quick_workflow_shard"):
         ref = baseline.get(section, {})

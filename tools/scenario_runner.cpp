@@ -19,15 +19,9 @@
 // the scenario's workload (replacing a trace/* scenario's bundled sample, or
 // making any classic scenario trace-driven).
 //
-// `--shards=N` selects the PDES shard count for sharded (scale/*) scenarios;
-// results and digests are byte-identical at every count, which the
-// shard-determinism CI job verifies by diffing `--digest --shards=N
-// [--threads=M]` output against the goldens for several (N, M). Classic
-// scenarios on the quantised network mode shard the same way through the
-// epoch-barrier driver; zero-lookahead classic scenarios ignore the flag and
-// always run the serial engine (see exp::Scenario::sharded). `--threads`
-// caps the worker threads driving parallel windows (also results-neutral).
-#include <cmath>
+// A flag the selected mode never reads (a typo, or a retired knob such as
+// --shards) is an error: the runner names it and exits non-zero instead of
+// silently running something other than what was asked for.
 #include <iostream>
 #include <string>
 #include <utility>
@@ -35,7 +29,6 @@
 
 #include "core/policy_registry.hpp"
 #include "exp/reporters.hpp"
-#include "exp/scale_model.hpp"
 #include "exp/scenario.hpp"
 #include "net/network_model.hpp"
 #include "util/config.hpp"
@@ -45,6 +38,16 @@
 namespace {
 
 using namespace dpjit;
+
+/// Call once the selected mode has read every flag it uses: any flag left
+/// unread is named on stderr and makes the run fail.
+bool reject_unused_flags(const util::Config& cli) {
+  const auto unused = cli.unused_keys();
+  for (const auto& key : unused) {
+    std::cerr << "scenario_runner: unknown or unused flag --" << key << " for this mode\n";
+  }
+  return !unused.empty();
+}
 
 int list_scenarios(bool as_json) {
   const auto& reg = exp::scenario_registry();
@@ -60,20 +63,18 @@ int list_scenarios(bool as_json) {
       std::cout << " \"algorithm\": \"" << util::json_escape(cfg.algorithm) << "\",";
       std::cout << " \"nodes\": " << cfg.nodes << ",";
       std::cout << " \"conformance_nodes\": " << exp::conformance_nodes(cfg.nodes) << ",";
-      std::cout << " \"sharded\": " << (s.sharded ? "true" : "false") << ",";
       std::cout << " \"description\": \"" << util::json_escape(s.description) << "\"}";
       std::cout << (i + 1 < all.size() ? "," : "") << "\n";
     }
     std::cout << "]\n";
     return 0;
   }
-  util::TablePrinter table(
-      {"scenario", "tier", "paper", "algorithm", "nodes", "engine", "description"});
+  util::TablePrinter table({"scenario", "tier", "paper", "algorithm", "nodes", "description"});
   for (const auto& s : reg.all()) {
     const auto cfg = s.config();
     table.add_row({s.name, std::string(exp::to_string(s.tier)),
                    s.paper_section.empty() ? "-" : s.paper_section, cfg.algorithm,
-                   std::to_string(cfg.nodes), s.sharded ? "sharded" : "serial", s.description});
+                   std::to_string(cfg.nodes), s.description});
   }
   table.print(std::cout);
   std::cout << "\n"
@@ -106,9 +107,8 @@ int describe_scenario(const std::string& name, bool as_json) {
   // a contention/* or quantised/* result needs to know to interpret it. The
   // mode row comes straight from the net::NetworkModel matrix so this listing
   // cannot drift from the engine's actual branch.
-  const net::NetworkMode net_mode = cfg.effective_network_mode();
-  const net::NetworkModeInfo& net_info = net::network_mode_info(net_mode);
-  const std::string_view network_model = net_info.name;
+  const std::string_view network_model =
+      net::network_mode_info(cfg.effective_network_mode()).name;
   const auto algo = core::make_algorithm(cfg.algorithm);
   const bool ca_suffix = cfg.algorithm.size() > 3 &&
                          cfg.algorithm.compare(cfg.algorithm.size() - 3, 3, "-ca") == 0;
@@ -140,8 +140,6 @@ int describe_scenario(const std::string& name, bool as_json) {
     std::cout << cfg.workflow.max_data_mb << "],\n";
     std::cout << "  \"arrival_process\": \"" << arrivals << "\",\n";
     std::cout << "  \"workload_mix_entries\": " << cfg.workload_mix.size() << ",\n";
-    std::cout << "  \"sharded\": " << (s->sharded ? "true" : "false") << ",\n";
-    std::cout << "  \"network_shardable\": " << (net_info.shardable ? "true" : "false") << ",\n";
     std::cout << "  \"conformance_nodes\": " << conf_nodes << "\n";
     std::cout << "}\n";
     return 0;
@@ -167,106 +165,25 @@ int describe_scenario(const std::string& name, bool as_json) {
   std::cout << "arrival process:   " << arrivals << "\n";
   std::cout << "workload mix:      " << (cfg.workload_mix.empty() ? "random-only" : "mixed");
   std::cout << "\n";
-  const char* engine_line = "serial (zero-lookahead network model ignores --shards/--threads)";
-  if (s->sharded) {
-    engine_line = "sharded (scale model; accepts --shards)";
-  } else if (net_info.shardable) {
-    engine_line = "sharded (quantised epoch-barrier loop; accepts --shards/--threads)";
-  }
-  std::cout << "engine:            " << engine_line << "\n";
   std::cout << "conformance nodes: " << conf_nodes;
   std::cout << " (digest pinned in tests/scenario/golden_digests.json)\n";
   return 0;
 }
 
-int emit_digests(const std::string& only, int shards, int threads) {
+int emit_digests(const std::string& only) {
   const auto& reg = exp::scenario_registry();
   std::vector<std::pair<std::string, std::uint64_t>> digests;
-  int serial_only = 0;
   for (const auto& s : reg.all()) {
     if (!only.empty() && s.name != only) continue;
-    const auto cfg = s.config();
-    const bool takes_shards =
-        s.sharded || net::network_mode_info(cfg.effective_network_mode()).shardable;
-    const int n = exp::conformance_nodes(cfg.nodes);
-    std::cerr << "digesting " << s.name << " (n=" << n;
-    if (takes_shards && shards > 1) std::cerr << ", shards=" << shards;
-    if (takes_shards && threads > 1) std::cerr << ", threads=" << threads;
-    std::cerr << ")...\n";
-    if (!takes_shards && (shards > 1 || threads > 1)) ++serial_only;
-    digests.emplace_back(s.name, exp::conformance_digest(s, shards, threads));
+    std::cerr << "digesting " << s.name << " (n=" << exp::conformance_nodes(s.config().nodes)
+              << ")...\n";
+    digests.emplace_back(s.name, exp::conformance_digest(s));
   }
   if (!only.empty() && digests.empty()) {
     std::cerr << "scenario_runner: unknown scenario '" << only << "' (try --list)\n";
     return 1;
   }
-  if (serial_only > 0) {
-    std::cerr << "scenario_runner: warning: --shards/--threads ignored by " << serial_only
-              << " zero-lookahead scenario(s) (serial engine; digests unaffected)\n";
-  }
   exp::write_digest_document(std::cout, digests);
-  return 0;
-}
-
-/// Runs a scale/* scenario on the sharded engine and reports the aggregate
-/// counters plus the shard-invariant scale digest.
-int run_scale_scenario(const util::Config& cli, const exp::Scenario& scenario,
-                       const exp::ExperimentConfig& cfg, bool as_json) {
-  exp::ScaleParams params = exp::scale_params_from_config(cfg);
-  params.shards = static_cast<int>(cli.get_int("shards", params.shards));
-  params.threads = static_cast<int>(cli.get_int("threads", params.threads));
-
-  std::cerr << "=== " << scenario.name << " ===\n"
-            << scenario.description << "\n"
-            << "peers=" << params.peers << " shards=" << params.shards
-            << " horizon=" << params.horizon_s / 3600.0 << "h seed=" << params.seed << "\n\n";
-
-  const exp::ScaleResult r = exp::run_scale_model(params);
-  const std::uint64_t digest = exp::scale_digest(r);
-
-  if (as_json) {
-    std::cout << "{\n";
-    std::cout << "  \"scenario\": \"" << util::json_escape(scenario.name) << "\",\n";
-    std::cout << "  \"peers\": " << r.peers << ",\n";
-    std::cout << "  \"regions\": " << r.regions << ",\n";
-    std::cout << "  \"shards\": " << r.shards << ",\n";
-    std::cout << "  \"window_s\": " << r.window_s << ",\n";
-    // +inf at shards=1; JSON has no inf literal, so emit null there.
-    if (std::isfinite(r.lookahead_s)) {
-      std::cout << "  \"lookahead_s\": " << r.lookahead_s << ",\n";
-    } else {
-      std::cout << "  \"lookahead_s\": null,\n";
-    }
-    std::cout << "  \"events_processed\": " << r.events_processed << ",\n";
-    std::cout << "  \"windows\": " << r.windows << ",\n";
-    std::cout << "  \"parallel_windows\": " << r.parallel_windows << ",\n";
-    std::cout << "  \"tasks_completed\": " << r.tasks_completed << ",\n";
-    std::cout << "  \"transfers_completed\": " << r.transfers_completed << ",\n";
-    std::cout << "  \"mb_transferred\": " << r.mb_transferred << ",\n";
-    std::cout << "  \"gossip_sent\": " << r.gossip_sent << ",\n";
-    std::cout << "  \"gossip_merged\": " << r.gossip_merged << ",\n";
-    std::cout << "  \"churn_departures\": " << r.churn_departures << ",\n";
-    std::cout << "  \"churn_rejoins\": " << r.churn_rejoins << ",\n";
-    std::cout << "  \"dropped_messages\": " << r.dropped_messages << ",\n";
-    std::cout << "  \"wall_s\": " << r.wall_s << ",\n";
-    std::cout << "  \"scale_digest\": \"" << digest << "\"\n";
-    std::cout << "}\n";
-    std::cerr << "scale_digest: " << digest << "\n";
-    return 0;
-  }
-  std::cout << "peers:               " << r.peers << " (" << r.regions << " regions, " << r.shards
-            << " shards)\n";
-  std::cout << "window / lookahead:  " << r.window_s << " s / " << r.lookahead_s << " s\n";
-  std::cout << "events:              " << r.events_processed << " in " << r.windows << " windows ("
-            << r.parallel_windows << " parallel)\n";
-  std::cout << "tasks completed:     " << r.tasks_completed << "\n";
-  std::cout << "transfers completed: " << r.transfers_completed << " (" << r.mb_transferred
-            << " MB)\n";
-  std::cout << "gossip sent/merged:  " << r.gossip_sent << " / " << r.gossip_merged << "\n";
-  std::cout << "churn out/back:      " << r.churn_departures << " / " << r.churn_rejoins << "\n";
-  std::cout << "dropped messages:    " << r.dropped_messages << "\n";
-  std::cout << "wall clock:          " << r.wall_s << " s\n";
-  std::cout << "scale_digest: " << digest << "\n";
   return 0;
 }
 
@@ -321,32 +238,15 @@ int run_scenario(const util::Config& cli, const std::string& name, bool as_json)
     cfg.trace.format = exp::TraceFormat::kAuto;
   }
 
-  if (scenario->sharded) return run_scale_scenario(cli, *scenario, cfg, as_json);
-
-  // Classic scenarios: the quantised network mode runs the epoch-barrier
-  // loop and honours the PDES knobs; the zero-lookahead modes cannot, so a
-  // requested count is called out instead of silently dropped (results are
-  // identical either way - this is purely a you-asked-for-parallelism-and-
-  // did-not-get-it warning).
-  const net::NetworkMode net_mode = cfg.effective_network_mode();
-  if (net::network_mode_info(net_mode).shardable) {
-    cfg.system.shards = static_cast<int>(cli.get_int("shards", cfg.system.shards));
-    cfg.system.threads = static_cast<int>(cli.get_int("threads", cfg.system.threads));
-  } else if (cli.has("shards") || cli.has("threads")) {
-    std::cerr << "scenario_runner: warning: --shards/--threads ignored: scenario '"
-              << scenario->name << "' runs the zero-lookahead '"
-              << net::network_mode_info(net_mode).name
-              << "' network model on the serial engine (see net/network_model.hpp)\n";
-  }
+  if (reject_unused_flags(cli)) return 1;
 
   std::cerr << "=== " << scenario->name << " ===\n"
             << scenario->description << "\n"
             << "nodes=" << cfg.nodes << " workflows/node=" << cfg.workflows_per_node
             << " algorithm=" << cfg.algorithm << " horizon=" << cfg.system.horizon_s / 3600.0
             << "h seed=" << cfg.seed;
-  if (net::network_mode_info(net_mode).shardable) {
-    std::cerr << " epoch=" << cfg.system.quantised_epoch_s << "s shards=" << cfg.system.shards
-              << " threads=" << cfg.system.threads;
+  if (cfg.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
+    std::cerr << " epoch=" << cfg.system.quantised_epoch_s << "s";
   }
   std::cerr << "\n\n";
 
@@ -380,8 +280,8 @@ int main(int argc, char** argv) {
   if (name.empty() && !cli.positional().empty()) name = cli.positional().front();
 
   if (cli.get_bool("digest", false)) {
-    return emit_digests(name, static_cast<int>(cli.get_int("shards", 1)),
-                        static_cast<int>(cli.get_int("threads", 1)));
+    if (reject_unused_flags(cli)) return 1;
+    return emit_digests(name);
   }
   // Accept --describe=NAME, `--describe NAME` (positional) and
   // `--describe --run=NAME`.
@@ -391,13 +291,19 @@ int main(int argc, char** argv) {
     std::cerr << "scenario_runner: --describe needs a scenario name (try --list)\n";
     return 1;
   }
-  if (!describe.empty()) return describe_scenario(describe, as_json);
+  if (!describe.empty()) {
+    if (reject_unused_flags(cli)) return 1;
+    return describe_scenario(describe, as_json);
+  }
   // An explicit --run with no usable name must not silently fall through to
   // the list (scripts would read exit 0 as "scenario ran").
   if (run_requested && name.empty()) {
     std::cerr << "scenario_runner: --run needs a scenario name (try --list)\n";
     return 1;
   }
-  if (cli.get_bool("list", false) || name.empty()) return list_scenarios(as_json);
+  if (cli.get_bool("list", false) || name.empty()) {
+    if (reject_unused_flags(cli)) return 1;
+    return list_scenarios(as_json);
+  }
   return run_scenario(cli, name, as_json);
 }
