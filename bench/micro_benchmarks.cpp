@@ -33,7 +33,9 @@ void BM_FinishTimeEstimate(benchmark::State& state) {
   task.load_mi = 5000;
   for (int i = 0; i < 4; ++i) task.inputs.push_back({NodeId{i}, 500.0});
   const gossip::ResourceEntry r{NodeId{9}, 3000.0, 8.0, 0.0, 0};
-  const auto bw = [](NodeId, NodeId) { return 5.0; };
+  const core::TransferTimeFn bw = [](NodeId, NodeId, double mb) {
+    return core::static_transfer_time_s(mb, 5.0);
+  };
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::estimate_finish_time(task, r, bw));
   }
@@ -52,7 +54,9 @@ void BM_TargetSelection(benchmark::State& state) {
   core::TaskEstimateInputs task;
   task.load_mi = 5000;
   task.inputs.push_back({NodeId{1}, 500.0});
-  const auto bw = [](NodeId, NodeId) { return 5.0; };
+  const core::TransferTimeFn bw = [](NodeId, NodeId, double mb) {
+    return core::static_transfer_time_s(mb, 5.0);
+  };
   for (auto _ : state) {
     double best = kInf;
     for (const auto& r : rss) {

@@ -15,7 +15,6 @@
 #include "dag/templates.hpp"
 #include "exp/metrics.hpp"
 #include "exp/workload_factory.hpp"
-#include "net/stats.hpp"
 #include "util/config.hpp"
 #include "util/table_printer.hpp"
 
@@ -33,8 +32,6 @@ int main(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
   exp::World world(cfg);
-  net::print_topology_stats(std::cout, net::topology_stats(world.topology(), world.routing()));
-  std::cout << '\n';
 
   dag::TemplateParams tpl;
   tpl.load_mi = 3000.0;

@@ -35,15 +35,19 @@ struct TaskEstimateInputs {
   std::vector<InputSource> inputs;
 };
 
-/// Estimated bandwidth (Mb/s) between two nodes - in production the
-/// landmark-based estimator fed by gossip, in tests any stub.
-using BandwidthEstimateFn = std::function<double(NodeId from, NodeId to)>;
-
-/// Full transfer-time estimate (seconds, including path latency) for moving
-/// `size_mb` megabits. Contention-aware policies plug a live
-/// net::RateOracle::expected_transfer_time_s in here; the static variant
-/// above only divides size by an average bandwidth.
+/// Transfer-time estimate (seconds, from now) for moving `size_mb` megabits
+/// between two nodes: the one transfer-cost question Eq. 4 asks. GridSystem
+/// decides which answer a caller gets - the landmark estimate (static
+/// just-in-time dispatch), the true routed bandwidth (static planners) or
+/// grid::TransferManager::expected_transfer_time_s (contention-aware
+/// policies and planners); tests pass any stub.
 using TransferTimeFn = std::function<double(NodeId from, NodeId to, double size_mb)>;
+
+/// The static transfer cost `size / bandwidth`: +inf when the bandwidth is
+/// not positive (unreachable or dead path), 0 over an infinite bandwidth.
+[[nodiscard]] inline double static_transfer_time_s(double size_mb, double bandwidth_mbps) {
+  return bandwidth_mbps > 0.0 ? size_mb / bandwidth_mbps : kInf;
+}
 
 /// R(tau, p_h): queuing delay = gossiped total load / capacity, seconds.
 [[nodiscard]] double queuing_delay_s(const gossip::ResourceEntry& resource);
@@ -52,12 +56,7 @@ using TransferTimeFn = std::function<double(NodeId from, NodeId to, double size_
 [[nodiscard]] double execution_time_s(double load_mi, const gossip::ResourceEntry& resource);
 
 /// LTD(tau) (Eq. 4): slowest input transfer to `target`, seconds from now.
-/// Inputs already located at `target` cost nothing.
-[[nodiscard]] double longest_transmission_delay_s(const TaskEstimateInputs& task, NodeId target,
-                                                  const BandwidthEstimateFn& bandwidth);
-
-/// LTD(tau) with each input charged a full transfer-time estimate (latency
-/// included) instead of size / average-bandwidth.
+/// Inputs already located at `target`, and empty inputs, cost nothing.
 [[nodiscard]] double longest_transmission_delay_s(const TaskEstimateInputs& task, NodeId target,
                                                   const TransferTimeFn& transfer_time);
 
@@ -67,12 +66,6 @@ struct FinishTimeEstimate {
   double finish_s = 0.0;
 };
 
-[[nodiscard]] FinishTimeEstimate estimate_finish_time(const TaskEstimateInputs& task,
-                                                      const gossip::ResourceEntry& resource,
-                                                      const BandwidthEstimateFn& bandwidth);
-
-/// Eqs. (5)-(6) with the LTD term computed from a full transfer-time
-/// estimator (e.g. the live network oracle) instead of a static bandwidth.
 [[nodiscard]] FinishTimeEstimate estimate_finish_time(const TaskEstimateInputs& task,
                                                       const gossip::ResourceEntry& resource,
                                                       const TransferTimeFn& transfer_time);

@@ -46,15 +46,6 @@ void HeftPlanner::plan_batch(const std::vector<PlanRequest>& workflows,
                              Assignment& out) {
   seed_backlog(oracle);
 
-  // Movement cost of `size` megabits: the live transfer-time oracle when the
-  // caller wired one (contention-aware planning), else the classic static
-  // division - unreachable or zero-bandwidth pairs cost +inf either way.
-  auto move_cost = [&](NodeId from, NodeId to, double size) {
-    if (oracle.transfer_time) return oracle.transfer_time(from, to, size);
-    const double bw = oracle.bandwidth(from, to);
-    return bw > 0.0 ? size / bw : kInf;
-  };
-
   auto plan_tasks = [&](const std::vector<OrderedTask>& order) {
     for (const OrderedTask& ot : order) {
       const PlanRequest& req = workflows[ot.wf_pos];
@@ -77,12 +68,12 @@ void HeftPlanner::plan_batch(const std::vector<PlanRequest>& workflows,
           assert(node_it != out.end());
           double xfer = 0.0;
           if (node_it->second != resource.node) {
-            xfer = move_cost(node_it->second, resource.node, wf.edge_data(p, ot.task));
+            xfer = oracle.transfer_time(node_it->second, resource.node, wf.edge_data(p, ot.task));
           }
           arrival = std::max(arrival, ft_it->second + xfer);
         }
         if (task.image_mb > 0.0 && req.home != resource.node) {
-          arrival = std::max(arrival, move_cost(req.home, resource.node, task.image_mb));
+          arrival = std::max(arrival, oracle.transfer_time(req.home, resource.node, task.image_mb));
         }
         const double duration = task.load_mi / resource.capacity_mips;
         const double est = timelines_[resource.node].earliest_start(arrival, duration);

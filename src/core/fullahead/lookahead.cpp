@@ -59,14 +59,6 @@ void LookaheadHeftPlanner::plan(const std::vector<PlanRequest>& workflows,
     return a.task < b.task;
   });
 
-  // Movement cost of `size` megabits: live transfer-time oracle when wired
-  // (lookahead-ca), else the classic static division (heft-la).
-  auto move_cost = [&](NodeId from, NodeId to, double size) {
-    if (oracle.transfer_time) return oracle.transfer_time(from, to, size);
-    const double bw = oracle.bandwidth(from, to);
-    return bw > 0.0 ? size / bw : kInf;
-  };
-
   // Earliest finish of `task` on `node` given the data will be ready at
   // `arrival`, against current timelines (no booking).
   auto eft_on = [&](const dag::Task& task, const gossip::ResourceEntry& node, double arrival) {
@@ -96,13 +88,13 @@ void LookaheadHeftPlanner::plan(const std::vector<PlanRequest>& workflows,
       }
       double xfer = 0.0;
       if (loc != node) {
-        xfer = move_cost(loc, node, wf.edge_data(p, t));
+        xfer = oracle.transfer_time(loc, node, wf.edge_data(p, t));
       }
       arrival = std::max(arrival, ft + xfer);
     }
     const dag::Task& task = wf.task(t);
     if (task.image_mb > 0.0 && req.home != node) {
-      arrival = std::max(arrival, move_cost(req.home, node, task.image_mb));
+      arrival = std::max(arrival, oracle.transfer_time(req.home, node, task.image_mb));
     }
     return arrival;
   };

@@ -32,15 +32,10 @@ struct PlannerOracle {
   std::vector<gossip::ResourceEntry> nodes;
   /// True system-wide averages (for ranking).
   dag::AverageEstimates averages;
-  /// True pairwise bottleneck bandwidth.
-  BandwidthEstimateFn bandwidth;
-  /// Optional live transfer-time estimator (latency + size over the rate the
-  /// network would allocate right now - net::RateOracle semantics). When set,
-  /// the planners charge edge and image movement through it instead of the
-  /// static `size / bandwidth` division; when empty, planning is byte-for-byte
-  /// the classic static-bandwidth HEFT/SMF (the goldens of heft/smf/heft-la
-  /// depend on that). The contention-aware registry entries (dheft-ca,
-  /// lookahead-ca) are what set it.
+  /// Edge and image movement cost. GridSystem passes the static `size / bw`
+  /// over the true routed bandwidth for the classic planners, and the live
+  /// TransferManager::expected_transfer_time_s for the contention-aware
+  /// planner (Algorithm::contended_planner, set by lookahead-ca).
   TransferTimeFn transfer_time;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "core/rpm.hpp"
@@ -73,7 +72,7 @@ class SystemDispatchContext final : public DispatchContext {
 
   [[nodiscard]] double finish_time(const CandidateTask& task,
                                    const gossip::ResourceEntry& resource) const override {
-    return estimate_finish_time(task.inputs, resource, bandwidth_fn()).finish_s;
+    return estimate_finish_time(task.inputs, resource, static_cost_).finish_s;
   }
 
   [[nodiscard]] double exec_time(const CandidateTask& task,
@@ -83,14 +82,7 @@ class SystemDispatchContext final : public DispatchContext {
 
   [[nodiscard]] double finish_time_contended(const CandidateTask& task,
                                              const gossip::ResourceEntry& resource) const override {
-    // Live-oracle LTD: the TransferManager answers what each input transfer
-    // would cost if it started now (in fair-sharing mode a what-if probe of
-    // the max-min solver; in bottleneck mode the true routed path rate).
-    prefill_oracle_cache();
-    TransferTimeFn oracle_fn = [this](NodeId from, NodeId to, double mb) {
-      return oracle_transfer_time(from, to, mb);
-    };
-    return estimate_finish_time(task.inputs, resource, oracle_fn).finish_s;
+    return estimate_finish_time(task.inputs, resource, live_cost_).finish_s;
   }
 
   void dispatch(const CandidateTask& task, NodeId target) override {
@@ -111,77 +103,15 @@ class SystemDispatchContext final : public DispatchContext {
   }
 
  private:
-  static std::uint64_t pair_key(NodeId from, NodeId to) {
-    const auto src_bits = static_cast<std::uint64_t>(static_cast<std::uint32_t>(from.get()));
-    return (src_bits << 32) | static_cast<std::uint32_t>(to.get());
-  }
-
-  /// Fills the per-cycle cache with every (input location, resource) pair a
-  /// contention-aware policy can ask about this cycle, through one batched
-  /// RateOracle::probe_rates call. Lazy on the first contended estimate so
-  /// static algorithms pay nothing; probes are side-effect-free, so prefilling
-  /// pairs the policy never ends up ranking cannot change any answer.
-  void prefill_oracle_cache() const {
-    if (oracle_prefilled_) return;
-    oracle_prefilled_ = true;
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    std::unordered_set<std::uint64_t> seen;
-    for (const auto& wf : pending_) {
-      for (const auto& t : wf.tasks) {
-        for (const auto& in : t.inputs.inputs) {
-          for (const auto& r : resources_) {
-            if (in.location == r.node) continue;  // loopback: no probe needed
-            if (seen.insert(pair_key(in.location, r.node)).second) {
-              pairs.emplace_back(in.location, r.node);
-            }
-          }
-        }
-      }
-    }
-    const std::vector<double> rates = sys_.transfers_->probe_rates(pairs);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto [from, to] = pairs[i];
-      oracle_cache_.emplace(pair_key(from, to),
-                            std::pair<double, double>{sys_.routing_.latency_s(from, to), rates[i]});
-    }
-  }
-
-  /// Oracle-backed transfer time with a per-cycle (src, dst) cache. The
-  /// context lives for exactly one scheduling cycle and the engine processes
-  /// no events while it runs, so the in-flight flow set - and therefore every
-  /// oracle answer - is frozen: caching the (latency, rate) pair and redoing
-  /// the `latency + mb / rate` arithmetic is bit-identical to re-probing,
-  /// while collapsing the probe count from tasks x resources x inputs to the
-  /// number of distinct node pairs.
-  [[nodiscard]] double oracle_transfer_time(NodeId from, NodeId to, double mb) const {
-    if (from == to) return 0.0;
-    const std::uint64_t key = pair_key(from, to);
-    auto it = oracle_cache_.find(key);
-    if (it == oracle_cache_.end()) {
-      const double latency = sys_.routing_.latency_s(from, to);
-      const double rate = sys_.transfers_->predicted_rate_mbps(from, to);
-      it = oracle_cache_.emplace(key, std::pair<double, double>{latency, rate}).first;
-    }
-    const auto [latency, rate] = it->second;
-    return net::transfer_time_from_rate(latency, rate, mb);
-  }
-
-  [[nodiscard]] BandwidthEstimateFn bandwidth_fn() const {
-    const double fallback = averages_.bandwidth_mbps;
-    const auto* landmarks = &sys_.landmarks_;
-    return [landmarks, fallback](NodeId a, NodeId b) {
-      return landmarks->estimate_mbps(a, b, fallback);
-    };
-  }
-
   GridSystem& sys_;
   NodeId home_;
   dag::AverageEstimates averages_;
   std::vector<gossip::ResourceEntry> resources_;
   std::vector<PendingWorkflow> pending_;
-  /// (src << 32 | dst) -> (latency_s, predicted rate) for this cycle.
-  mutable std::unordered_map<std::uint64_t, std::pair<double, double>> oracle_cache_;
-  mutable bool oracle_prefilled_ = false;
+  /// Eq. 4's transfer cost for finish_time / finish_time_contended.
+  TransferTimeFn static_cost_ =
+      sys_.transfer_cost_fn(GridSystem::TransferCost::kLandmarks, averages_.bandwidth_mbps);
+  TransferTimeFn live_cost_ = sys_.transfer_cost_fn(GridSystem::TransferCost::kLive);
 };
 
 // ---------------------------------------------------------------------------
@@ -398,6 +328,27 @@ void GridSystem::reoffer_suspect_tasks() {
   }
 }
 
+TransferTimeFn GridSystem::transfer_cost_fn(TransferCost cost, double fallback_mbps) const {
+  switch (cost) {
+    case TransferCost::kLandmarks:
+      return [this, fallback_mbps](NodeId a, NodeId b, double mb) {
+        return static_transfer_time_s(mb, landmarks_.estimate_mbps(a, b, fallback_mbps));
+      };
+    case TransferCost::kRoutes:
+      return [this](NodeId a, NodeId b, double mb) {
+        return static_transfer_time_s(mb, routing_.bandwidth_mbps(a, b));
+      };
+    case TransferCost::kLive:
+      // Repeated pairs dedupe through the TransferManager's stamp-keyed probe
+      // cache, which holds for a whole scheduling cycle or planning batch: no
+      // transfer starts or ends while either runs.
+      return [this](NodeId a, NodeId b, double mb) {
+        return transfers_->expected_transfer_time_s(a, b, mb);
+      };
+  }
+  throw std::invalid_argument("transfer_cost_fn: unknown TransferCost");
+}
+
 void GridSystem::schedule_home(NodeId home) {
   const auto believed = gossip_->averages(home);
   SystemDispatchContext ctx(
@@ -419,16 +370,8 @@ void GridSystem::ensure_full_ahead_plan() {
                                                  node.capacity_mips(), engine_.now(), 0});
   }
   oracle.averages = true_averages_;
-  oracle.bandwidth = [this](NodeId a, NodeId b) { return routing_.bandwidth_mbps(a, b); };
-  if (algorithm_.contended_planner) {
-    // Contention-aware planning: charge transfers at the rate the live
-    // network would allocate right now. Repeated pairs dedupe through the
-    // TransferManager's epoch-keyed probe cache, so a whole planning batch
-    // costs one component solve per distinct pair.
-    oracle.transfer_time = [this](NodeId a, NodeId b, double mb) {
-      return transfers_->expected_transfer_time_s(a, b, mb);
-    };
-  }
+  oracle.transfer_time =
+      transfer_cost_fn(algorithm_.contended_planner ? TransferCost::kLive : TransferCost::kRoutes);
   std::vector<PlanRequest> requests;
   for (std::size_t k = planned_count_; k < workflows_.size(); ++k) {
     auto& wf = workflows_[k];

@@ -221,6 +221,17 @@ class GridSystem {
  private:
   friend class SystemDispatchContext;
 
+  /// Where Eq. 4's transfer cost comes from. Every scheduler gets its
+  /// TransferTimeFn from transfer_cost_fn, the one place that decides:
+  enum class TransferCost {
+    kLandmarks,  ///< size / landmark-estimated bandwidth: static JIT dispatch
+    kRoutes,     ///< size / true routed bandwidth: the static planners
+    kLive,       ///< TransferManager::expected_transfer_time_s: the -ca paths
+  };
+  /// `fallback_mbps` answers kLandmarks pairs the landmarks cannot estimate.
+  [[nodiscard]] TransferTimeFn transfer_cost_fn(TransferCost cost,
+                                                double fallback_mbps = 0.0) const;
+
   // --- scheduling phases ---
   void schedule_home(NodeId home);
   /// Centralized full-ahead planning: plans every not-yet-planned workflow

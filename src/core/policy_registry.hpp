@@ -27,9 +27,10 @@ struct Algorithm {
   /// Always non-null.
   std::function<std::unique_ptr<ReadyQueuePolicy>()> make_second;
   /// Full-ahead algorithms only: plan transfer costs through the live
-  /// net::RateOracle (PlannerOracle::transfer_time gets wired to the
-  /// TransferManager) instead of the static bandwidth matrix. Meaningless
-  /// for just-in-time algorithms, whose -ca variants probe per dispatch.
+  /// what-if probes (PlannerOracle::transfer_time gets wired to
+  /// TransferManager::expected_transfer_time_s) instead of the static
+  /// routed bandwidth. Meaningless for just-in-time algorithms, whose -ca
+  /// variants probe per dispatch.
   bool contended_planner = false;
 
   [[nodiscard]] bool full_ahead() const { return static_cast<bool>(make_planner); }
@@ -40,7 +41,7 @@ struct Algorithm {
 /// Second-phase ablation variants (original HCW'99-style, FCFS ready set):
 ///   "minmin-fcfs", "maxmin-fcfs", "sufferage-fcfs", "dheft-fcfs", "dsmf-fcfs".
 /// Extension (paper related-work [24]): "heft-la" - lookahead HEFT.
-/// Contention-aware extensions (consume the live net::RateOracle):
+/// Contention-aware extensions (consume the live what-if probes):
 ///   "dsmf-ca" - DSMF with Formula (9) ranked by oracle-predicted completion
 ///               time (live what-if probes of the fair-sharing solver);
 ///   "dsmf-tc" - DSMF with the transfer-time-corrected "tcms" second phase

@@ -1,5 +1,5 @@
 // Mode-agnostic facade of the TransferManager: flow bookkeeping, transfer
-// lifecycle entry points and the RateOracle probes. The per-mode machinery
+// lifecycle entry points and the what-if probes. The per-mode machinery
 // lives behind the net::NetworkModel seam in models/fluid_fair.cpp and
 // models/quantised_fair.cpp.
 #include "grid/transfer_manager.hpp"
@@ -160,7 +160,7 @@ void TransferManager::link_state_changed(LinkId l, bool up) {
   }
 }
 
-// --- net::RateOracle --------------------------------------------------------
+// --- what-if probes --------------------------------------------------------
 
 double TransferManager::predicted_rate_mbps_uncached(NodeId src, NodeId dst) const {
   if (src == dst) return kInf;  // loopback transfers are free
@@ -225,20 +225,15 @@ double TransferManager::predicted_rate_mbps(NodeId src, NodeId dst) const {
   return rate;
 }
 
-std::vector<double> TransferManager::probe_rates(
-    const std::vector<std::pair<NodeId, NodeId>>& pairs) const {
-  std::vector<double> rates;
-  rates.reserve(pairs.size());
-  for (const auto& [src, dst] : pairs) rates.push_back(predicted_rate_mbps(src, dst));
-  return rates;
-}
-
 double TransferManager::expected_transfer_time_s(NodeId src, NodeId dst, double size_mb) const {
   if (src == dst) return 0.0;
   const double latency = routing_.latency_s(src, dst);
   if (!std::isfinite(latency)) return kInf;  // skip the probe entirely
   if (size_mb <= 0.0) return latency;
-  return net::transfer_time_from_rate(latency, predicted_rate_mbps(src, dst), size_mb);
+  const double rate = predicted_rate_mbps(src, dst);
+  if (rate <= 0.0) return kInf;
+  if (std::isinf(rate)) return latency;
+  return latency + size_mb / rate;
 }
 
 }  // namespace dpjit::grid

@@ -29,18 +29,22 @@
 //    schedules NO completion events in this mode - the barrier loop owns the
 //    clock. Machinery: models/quantised_fair.cpp.
 //
-// The manager also implements net::RateOracle: what-if transfer-rate and
-// transfer-time queries against the live network, consumed by the
-// contention-aware scheduling policies (see rate_oracle.hpp). Contended-mode
-// probes are memoized per (src, dst) pair in an epoch-keyed cache: a cached
-// rate is valid exactly while the solver's mutation stamp, the manager's
-// link-state stamp AND (quantised mode) the epoch barrier stamp all stand
-// still, which holds for an entire scheduling cycle (the engine runs no flow
-// events mid-cycle), so every home node's ranking pass shares one component
-// solve per pair instead of paying O(component) per candidate. Invalidation
-// is by stamp comparison only - cached answers are bit-identical to fresh
-// probes by construction, and a sampled debug assert plus the probe_cache
-// differential test hold the cache to that.
+// The manager also answers what-if transfer-rate and transfer-time queries
+// against the live network: "if a new transfer started on this path now,
+// what rate would it get, and when would it finish?" The contention-aware
+// scheduling policies and planners charge Eq. 4's transfer cost through
+// expected_transfer_time_s. The answers are instantaneous: a fair-mode rate
+// holds until the next flow arrival/completion re-solves its component, so
+// predicted times are extrapolations. Contended-mode probes are memoized per
+// (src, dst) pair in an epoch-keyed cache, the scheduler's only probe cache:
+// a cached rate is valid exactly while the solver's mutation stamp, the
+// manager's link-state stamp AND (quantised mode) the epoch barrier stamp all
+// stand still, which holds for an entire scheduling cycle (the engine runs no
+// flow events mid-cycle), so every home node's ranking pass shares one
+// component solve per pair instead of paying O(component) per candidate.
+// Invalidation is by stamp comparison only - cached answers are bit-identical
+// to fresh probes by construction, and a sampled debug assert plus the
+// probe_cache differential test hold the cache to that.
 //
 // Transfers abort with success=false when either endpoint leaves the system,
 // or - when path tracking is on - when a link on their recorded route fails
@@ -56,7 +60,6 @@
 #include "grid/completion_index.hpp"
 #include "net/flow_sharing.hpp"
 #include "net/network_model.hpp"
-#include "net/rate_oracle.hpp"
 #include "net/routing.hpp"
 #include "sim/engine.hpp"
 
@@ -107,7 +110,7 @@ struct QuantisedRunStats {
 /// degenerating into millions of near-empty barriers. O(n^2) latency scan.
 [[nodiscard]] double derive_quantised_epoch(const net::Routing& routing, double requested_s);
 
-class TransferManager : public net::RateOracle {
+class TransferManager {
  public:
   /// The network-model seam: behaviour is selected per net/network_model.hpp.
   using Mode = net::NetworkMode;
@@ -190,7 +193,7 @@ class TransferManager : public net::RateOracle {
   /// Flows waiting (propagation done) to be admitted at the next barrier.
   [[nodiscard]] std::size_t quantised_pending_joins() const;
 
-  // --- net::RateOracle -------------------------------------------------------
+  // --- what-if probes -------------------------------------------------------
 
   /// Rate a new src->dst transfer would get right now. Bottleneck mode: the
   /// routed path's bottleneck bandwidth (flows never contend). Contended
@@ -198,18 +201,13 @@ class TransferManager : public net::RateOracle {
   /// solver against the current in-flight flow set, memoized per pair until
   /// the next solver mutation, link-state change or (quantised) epoch
   /// barrier (see the class comment).
-  [[nodiscard]] double predicted_rate_mbps(NodeId src, NodeId dst) const override;
+  [[nodiscard]] double predicted_rate_mbps(NodeId src, NodeId dst) const;
 
-  /// latency(path) + size_mb / predicted_rate_mbps. 0 for loopback; +inf for
-  /// unreachable pairs and saturated (zero-rate) paths. In contended modes
-  /// this extrapolates the instantaneous allocation over the whole transfer.
-  [[nodiscard]] double expected_transfer_time_s(NodeId src, NodeId dst,
-                                                double size_mb) const override;
-
-  /// Batched probe; every entry goes through (and warms) the probe cache, so
-  /// a cycle's worth of pairs costs one component solve per *distinct* pair.
-  [[nodiscard]] std::vector<double> probe_rates(
-      const std::vector<std::pair<NodeId, NodeId>>& pairs) const override;
+  /// latency(path) + size_mb / predicted_rate_mbps. 0 for loopback; latency
+  /// alone for an empty payload or an infinite rate; +inf for unreachable
+  /// pairs and saturated (zero-rate) paths. In contended modes this
+  /// extrapolates the instantaneous allocation over the whole transfer.
+  [[nodiscard]] double expected_transfer_time_s(NodeId src, NodeId dst, double size_mb) const;
 
   /// The pre-cache probe path: routes and solves on every call, never reads
   /// or writes the cache. This is the reference the cached answer must match

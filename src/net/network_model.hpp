@@ -1,7 +1,7 @@
 // The network-model seam.
 //
 // Every layer that cares how transfers share the network - the
-// grid::TransferManager that executes them, the net::RateOracle probes the
+// grid::TransferManager that executes them, the what-if probes the
 // contention-aware policies consume, core::GridSystem's run loop, and the
 // scenario registry - selects behaviour through this one enum instead of a
 // scattered `bool fair_sharing`. The mode matrix below is the single source
@@ -41,18 +41,6 @@ enum class NetworkMode {
   /// epoch barriers (non-zero lookahead).
   kQuantisedFair,
 };
-
-/// Static properties of a mode - the row of the matrix above. Kept as data so
-/// CLI tools (scenario_runner --describe) and docs render from one place.
-struct NetworkModeInfo {
-  std::string_view name;        ///< canonical spelling, e.g. "quantised-fair"
-  bool contended = false;       ///< concurrent transfers share link capacity
-  bool zero_lookahead = false;  ///< rate changes propagate instantly
-  std::string_view oracle_path;  ///< how RateOracle probes are answered
-};
-
-/// The matrix row for `mode`.
-[[nodiscard]] const NetworkModeInfo& network_mode_info(NetworkMode mode);
 
 [[nodiscard]] std::string_view to_string(NetworkMode mode);
 

@@ -24,7 +24,8 @@ class ComputeContext final : public DispatchContext {
 
   [[nodiscard]] double finish_time(const CandidateTask& task,
                                    const gossip::ResourceEntry& r) const override {
-    return estimate_finish_time(task.inputs, r, [](NodeId, NodeId) { return 1.0; }).finish_s;
+    const TransferTimeFn unit_bw = [](NodeId, NodeId, double mb) { return mb; };
+    return estimate_finish_time(task.inputs, r, unit_bw).finish_s;
   }
   [[nodiscard]] double exec_time(const CandidateTask& task,
                                  const gossip::ResourceEntry& r) const override {

@@ -1,12 +1,10 @@
-// TransferManager as net::RateOracle: what-if rate/transfer-time queries
-// against both network models, and their side-effect-freedom on a live
-// fluid simulation.
+// TransferManager's what-if rate/transfer-time queries against both network
+// models, and their side-effect-freedom on a live fluid simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "grid/transfer_manager.hpp"
-#include "net/rate_oracle.hpp"
 
 namespace dpjit::grid {
 namespace {
@@ -22,14 +20,13 @@ TEST(RateOracle, BottleneckModeReportsRoutedPathRate) {
   const net::Routing routing(topo);
   sim::Engine engine;
   TransferManager tm(engine, topo, routing, TransferManager::Mode::kBottleneck);
-  const net::RateOracle& oracle = tm;
 
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
-  EXPECT_TRUE(std::isinf(oracle.predicted_rate_mbps(NodeId{1}, NodeId{1})));
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
+  EXPECT_TRUE(std::isinf(tm.predicted_rate_mbps(NodeId{1}, NodeId{1})));
   // Latency comes through the Routing float matrices; compare against them.
-  EXPECT_DOUBLE_EQ(oracle.expected_transfer_time_s(NodeId{0}, NodeId{2}, 100.0),
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 100.0),
                    routing.latency_s(NodeId{0}, NodeId{2}) + 100.0 / 10.0);
-  EXPECT_DOUBLE_EQ(oracle.expected_transfer_time_s(NodeId{1}, NodeId{1}, 100.0), 0.0);
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{1}, NodeId{1}, 100.0), 0.0);
 }
 
 TEST(RateOracle, FairModeProbesSeeLiveContention) {
@@ -37,10 +34,9 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   const net::Routing routing(topo);
   sim::Engine engine;
   TransferManager tm(engine, topo, routing, TransferManager::Mode::kFluidFair);
-  const net::RateOracle& oracle = tm;
 
   // Idle network: the probe reports the full path rate.
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 10.0);
 
   // One fluid flow across 0->2; once it is past the latency phase a second
   // flow on the same path would have to share every link.
@@ -48,9 +44,9 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   tm.start(NodeId{0}, NodeId{2}, 1000.0, [&](bool) { done = true; });
   engine.run_until(1.0);  // past the 0.2 s latency phase, far from completion
   ASSERT_FALSE(done);
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{2}), 5.0);
-  EXPECT_DOUBLE_EQ(oracle.predicted_rate_mbps(NodeId{0}, NodeId{1}), 5.0);
-  EXPECT_DOUBLE_EQ(oracle.expected_transfer_time_s(NodeId{0}, NodeId{2}, 10.0),
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{2}), 5.0);
+  EXPECT_DOUBLE_EQ(tm.predicted_rate_mbps(NodeId{0}, NodeId{1}), 5.0);
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 10.0),
                    routing.latency_s(NodeId{0}, NodeId{2}) + 10.0 / 5.0);
 
   // The probe must not have perturbed the live flow: it still completes at
@@ -58,6 +54,23 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   engine.run_all();
   EXPECT_TRUE(done);
   EXPECT_NEAR(engine.now(), routing.latency_s(NodeId{0}, NodeId{2}) + 100.0, 1e-6);
+}
+
+TEST(RateOracle, ExpectedTransferTimeEdgeCases) {
+  // 0 - 1 healthy, 1 - 2 saturated (zero capacity), node 3 isolated.
+  const auto topo = net::Topology::from_links(4, {{NodeId{0}, NodeId{1}, 10.0, 0.1},
+                                                  {NodeId{1}, NodeId{2}, 0.0, 0.1}});
+  const net::Routing routing(topo);
+  sim::Engine engine;
+  TransferManager tm(engine, topo, routing, TransferManager::Mode::kFluidFair);
+
+  const double latency = routing.latency_s(NodeId{0}, NodeId{1});
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{0}, 50.0), 0.0);
+  EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{0}, NodeId{1}, 0.0), latency);
+  EXPECT_TRUE(std::isinf(tm.expected_transfer_time_s(NodeId{0}, NodeId{2}, 1.0)));
+  EXPECT_TRUE(std::isinf(tm.expected_transfer_time_s(NodeId{0}, NodeId{3}, 1.0)));
+  // The empty payload and the unreachable pair are answered without a probe.
+  EXPECT_EQ(tm.probe_cache_misses(), 1u);
 }
 
 TEST(RateOracle, ProbesDoNotChangeFluidOutcomes) {

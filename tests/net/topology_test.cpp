@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "net/routing.hpp"
+
 namespace dpjit::net {
 namespace {
 
@@ -38,6 +42,41 @@ TEST_P(WaxmanProperty, ConnectedWithBoundedDegreesAndWeights) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WaxmanProperty, ::testing::Range(1, 13));
+
+TEST(Topology, WaxmanIsMultiHopWithBoundedMeanDegree) {
+  // What a Brite-like WAN must look like: about two links per node from the
+  // incremental growth, and routes longer than two hops somewhere.
+  util::Rng rng(5);
+  TopologyParams params;
+  params.node_count = 60;
+  const auto topo = Topology::generate_waxman(params, rng);
+  const Routing routing(topo);
+  const double mean_degree =
+      2.0 * static_cast<double>(topo.link_count()) / static_cast<double>(topo.node_count());
+  EXPECT_GE(mean_degree, 1.9);
+  EXPECT_LE(mean_degree, 4.1);
+  int hop_diameter = 0;
+  for (int u = 0; u < topo.node_count(); ++u) {
+    for (int v = u + 1; v < topo.node_count(); ++v) {
+      hop_diameter = std::max(hop_diameter, routing.hops(NodeId{u}, NodeId{v}));
+    }
+  }
+  EXPECT_GT(hop_diameter, 2);
+}
+
+TEST(Topology, LineGraphDegreesAndHopDiameter) {
+  const auto topo = Topology::from_links(4, {{NodeId{0}, NodeId{1}, 5.0, 1.0},
+                                             {NodeId{1}, NodeId{2}, 5.0, 1.0},
+                                             {NodeId{2}, NodeId{3}, 5.0, 1.0}});
+  EXPECT_EQ(topo.incident(NodeId{0}).size(), 1u);
+  EXPECT_EQ(topo.incident(NodeId{1}).size(), 2u);
+  EXPECT_EQ(topo.incident(NodeId{2}).size(), 2u);
+  EXPECT_EQ(topo.incident(NodeId{3}).size(), 1u);
+  const Routing routing(topo);
+  EXPECT_EQ(routing.hops(NodeId{0}, NodeId{3}), 3);
+  EXPECT_DOUBLE_EQ(routing.latency_s(NodeId{0}, NodeId{3}), 3.0);
+  EXPECT_DOUBLE_EQ(routing.bandwidth_mbps(NodeId{0}, NodeId{3}), 5.0);
+}
 
 TEST(Topology, DeterministicForSeed) {
   TopologyParams params;

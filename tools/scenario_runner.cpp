@@ -102,21 +102,19 @@ int describe_scenario(const std::string& name, bool as_json) {
   } else if (cfg.mean_interarrival_s > 0.0) {
     arrivals = "open-poisson";
   }
-  // Which transfer model the run simulates, and whether the algorithm reads
-  // the live RateOracle or only static estimates - the two axes a reader of
-  // a contention/* or quantised/* result needs to know to interpret it. The
-  // mode row comes straight from the net::NetworkModel matrix so this listing
-  // cannot drift from the engine's actual branch.
-  const std::string_view network_model =
-      net::network_mode_info(cfg.effective_network_mode()).name;
+  // Which transfer model the run simulates, and whether the algorithm charges
+  // transfers through the live what-if probes or only static estimates - the
+  // two axes a reader of a contention/* or quantised/* result needs to know
+  // to interpret it.
+  const std::string_view network_model = net::to_string(cfg.effective_network_mode());
   const auto algo = core::make_algorithm(cfg.algorithm);
   const bool ca_suffix = cfg.algorithm.size() > 3 &&
                          cfg.algorithm.compare(cfg.algorithm.size() - 3, 3, "-ca") == 0;
-  const char* oracle_path = "static estimates (gossip averages / bandwidth matrix)";
+  const char* oracle_path = "static estimates (landmark / routed bandwidth)";
   if (algo.contended_planner) {
-    oracle_path = "live RateOracle probes at plan time (batched probe_rates)";
+    oracle_path = "live what-if probes at plan time (expected_transfer_time_s per pair)";
   } else if (ca_suffix) {
-    oracle_path = "live RateOracle probes per scheduling cycle (what-if fair-share solves)";
+    oracle_path = "live what-if probes per scheduling cycle (expected_transfer_time_s per pair)";
   }
   if (as_json) {
     std::cout << "{\n";
