@@ -52,8 +52,8 @@ std::uint64_t result_digest(const ExperimentResult& r) {
     h ^= v;
     h *= 0x100000001b3ULL;
   };
-  // Exactly these fields, in this order: the fig11 anchor digest recorded in
-  // BENCH_2.json / ROADMAP.md depends on it.
+  // Exactly these fields, in this order: the pinned full-scale digests in
+  // tests/scenario/bench_parity_test.cpp depend on it.
   mix(std::bit_cast<std::uint64_t>(r.act));
   mix(std::bit_cast<std::uint64_t>(r.ae));
   mix(std::bit_cast<std::uint64_t>(r.mean_response));

@@ -56,8 +56,9 @@ struct ExperimentResult {
 
 /// FNV-1a over the bit patterns of the result's headline metrics: a cheap
 /// fingerprint for "this change did not alter simulation output". Excludes
-/// wall-clock time, so the digest is machine-independent; used by the perf
-/// harness, the scenario conformance tier and CI golden-digest checks.
+/// wall-clock time, so the digest is machine-independent; used by the
+/// scenario conformance tier, CI golden-digest checks and perfbench's run
+/// checks.
 [[nodiscard]] std::uint64_t result_digest(const ExperimentResult& r);
 
 /// Order-sensitive combination of per-result digests for whole sweeps.

@@ -211,19 +211,18 @@ class TransferManager {
 
   /// The pre-cache probe path: routes and solves on every call, never reads
   /// or writes the cache. This is the reference the cached answer must match
-  /// bit-for-bit; exposed for the differential tests and the perf harness's
-  /// cached-vs-uncached speedup stage, not for schedulers.
+  /// bit-for-bit: the oracle of the probe-cache differential tests, not a
+  /// path for schedulers.
   [[nodiscard]] double predicted_rate_mbps_uncached(NodeId src, NodeId dst) const;
 
   /// The legacy probe path: routes and then re-runs the progressive fill from
   /// scratch (FairShareSolver::probe_rate_reference), bypassing both the pair
-  /// cache and the solver's recorded probe schedules. This is the "before"
-  /// side of the perf harness's oracle stage - what every probe cost prior to
-  /// the cache layers - and a differential anchor for tests.
+  /// cache and the solver's recorded probe schedules: what every probe cost
+  /// before the cache layers, kept as the oracle of the differential tests.
   [[nodiscard]] double predicted_rate_mbps_reference(NodeId src, NodeId dst) const;
 
   /// Contended-mode probes answered from the cache / answered by a fresh
-  /// solve since construction (observability for tests and the perf harness).
+  /// solve since construction (observability for tests).
   [[nodiscard]] std::uint64_t probe_cache_hits() const { return probe_cache_hits_; }
   [[nodiscard]] std::uint64_t probe_cache_misses() const { return probe_cache_misses_; }
 

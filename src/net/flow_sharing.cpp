@@ -148,18 +148,6 @@ void FairShareSolver::unlink(FlowRec& rec) {
   }
 }
 
-void FairShareSolver::remove(std::uint64_t id) {
-  ++mutation_stamp_;
-  const auto it = flows_.find(id);
-  assert(it != flows_.end() && "FairShareSolver::remove: unknown flow id");
-  unlink(it->second);
-  const std::vector<LinkId> seed = std::move(it->second.links);
-  flows_.erase(it);
-  ++epoch_;
-  collect_component(seed);
-  solve_component();
-}
-
 void FairShareSolver::remove_batch(const std::vector<std::uint64_t>& ids) {
   ++mutation_stamp_;
   std::vector<LinkId> seed;
@@ -621,8 +609,8 @@ double FairShareSolver::probe_rate_reference(const std::vector<LinkId>& links) c
   // real flows. Every arithmetic operation up to the probe flow's freeze
   // round is then operation-for-operation identical to what add() would do,
   // which is what makes probe == rate-after-add bit-exact. (This is the
-  // pre-schedule implementation, kept verbatim: the slow-path fallback, the
-  // differential anchor for probe_rate(), and the perf harness's "before".)
+  // pre-schedule implementation, kept verbatim: the slow-path fallback and
+  // the differential-test oracle for probe_rate().)
   for (const std::uint32_t li : comp_links_) {
     remaining_[li] = caps_[li];
     active_[li] = 0;

@@ -79,12 +79,9 @@ class FairShareSolver {
   /// Precondition: `id` not present.
   void add(std::uint64_t id, std::vector<LinkId> links, void* user = nullptr);
 
-  /// Removes one flow and re-solves the component it belonged to.
-  /// Precondition: `id` present.
-  void remove(std::uint64_t id);
-
   /// Removes every flow in `ids` with a single re-solve of the union of the
-  /// affected components (churn teardown: one solve, not one per flow).
+  /// affected components (churn teardown: one solve, not one per flow; one
+  /// flow is `remove_batch({id})`).
   /// Precondition: all ids present, no duplicates.
   void remove_batch(const std::vector<std::uint64_t>& ids);
 
@@ -120,20 +117,19 @@ class FairShareSolver {
   /// The from-scratch probe: collects the component and runs the
   /// round-synchronous fill until the phantom flow freezes, exactly like
   /// add() would (early-out at the probe's freeze round). This is the slow
-  /// path probe_rate() falls back to, its differential-test anchor, and the
-  /// "before" side of the perf harness's probe stage. Same purity contract
-  /// as probe_rate().
+  /// path probe_rate() falls back to and the oracle its differential tests
+  /// compare against. Same purity contract as probe_rate().
   [[nodiscard]] double probe_rate_reference(const std::vector<LinkId>& links) const;
 
   [[nodiscard]] bool contains(std::uint64_t id) const { return flows_.count(id) > 0; }
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
   [[nodiscard]] std::size_t link_count() const { return caps_.size(); }
 
-  /// Flows re-solved by the last add/remove/remove_batch.
+  /// Flows re-solved by the last add/remove_batch.
   /// Invalidated by the next mutation.
   [[nodiscard]] const std::vector<UpdatedFlow>& updated() const { return updated_; }
 
-  /// Counter bumped by every observable mutation (add/remove/remove_batch)
+  /// Counter bumped by every observable mutation (add/remove_batch)
   /// and by NOTHING else - in particular not by probe_rate(), whose scratch
   /// epoch ticks on every call. Two probes of the same path between equal
   /// mutation stamps are guaranteed bit-identical, which is the invalidation

@@ -30,7 +30,7 @@ TEST(FairShareSolver, SingleFlowThenSharing) {
   s.add(2, {LinkId{0}});
   EXPECT_DOUBLE_EQ(s.rate(1), 5.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 5.0);
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_DOUBLE_EQ(s.rate(2), 10.0);
   EXPECT_EQ(s.flow_count(), 1u);
 }
@@ -54,7 +54,7 @@ TEST(FairShareSolver, LoopbackFlowIsUnlimitedAndInert) {
   EXPECT_DOUBLE_EQ(s.rate(1), 6.0);  // untouched by the loopback flow
   ASSERT_EQ(s.updated().size(), 1u);
   EXPECT_EQ(s.updated()[0].id, 2u);
-  s.remove(2);
+  s.remove_batch({2});
   EXPECT_DOUBLE_EQ(s.rate(1), 6.0);
 }
 
@@ -70,7 +70,7 @@ TEST(FairShareSolver, DisjointComponentsAreNotResolved) {
   EXPECT_DOUBLE_EQ(s.rate(1), 2.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 2.0);
   // Removing it likewise leaves the link-0 component alone.
-  s.remove(3);
+  s.remove_batch({3});
   EXPECT_TRUE(s.updated().empty());
   expect_matches_full_solve(s);
 }
@@ -94,7 +94,7 @@ TEST(FairShareSolver, ZeroCapacityLinkYieldsZeroRate) {
   EXPECT_DOUBLE_EQ(s.rate(1), 0.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 5.0);
   expect_matches_full_solve(s);
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_DOUBLE_EQ(s.rate(2), 5.0);
 }
 
@@ -105,7 +105,7 @@ TEST(FairShareSolver, DuplicateLinkCrossingsSurviveChurn) {
   EXPECT_DOUBLE_EQ(s.rate(1), 3.0);
   EXPECT_DOUBLE_EQ(s.rate(2), 3.0);
   // Swap-erase unlinking must survive a flow occupying two slots of one link.
-  s.remove(1);
+  s.remove_batch({1});
   EXPECT_DOUBLE_EQ(s.rate(2), 9.0);
   expect_matches_full_solve(s);
 }
@@ -122,7 +122,7 @@ TEST(FairShareSolver, BatchRemovalMatchesSequentialRemoval) {
   }
   const std::vector<std::uint64_t> doomed{2, 3, 5, 8};
   batch.remove_batch(doomed);
-  for (std::uint64_t id : doomed) seq.remove(id);
+  for (std::uint64_t id : doomed) seq.remove_batch({id});
   for (std::uint64_t id : {1, 4, 6, 7}) {
     EXPECT_EQ(batch.rate(id), seq.rate(id));
   }
@@ -130,7 +130,7 @@ TEST(FairShareSolver, BatchRemovalMatchesSequentialRemoval) {
 }
 
 TEST(FairShareSolver, RandomizedDifferentialAgainstFullSolve) {
-  // Drive the solver through random add/remove/remove_batch histories over a
+  // Drive the solver through random add/single-remove/batch-remove histories over a
   // shared link pool and check bit-identity with a from-scratch solve after
   // every mutation - the property the golden digests of the contention
   // scenarios rely on.
@@ -162,7 +162,7 @@ TEST(FairShareSolver, RandomizedDifferentialAgainstFullSolve) {
         // remove one
         std::uniform_int_distribution<std::size_t> pick(0, live.size() - 1);
         const std::size_t at = pick(gen);
-        solver.remove(live[at]);
+        solver.remove_batch({live[at]});
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
       } else {
         // batch-remove a random subset (mass teardown)
@@ -239,7 +239,7 @@ TEST(FairShareSolver, ProbeIsSideEffectFreeUnderRandomizedChurn) {
     } else {
       std::uniform_int_distribution<std::size_t> at(0, live.size() - 1);
       const std::size_t k = at(gen);
-      solver.remove(live[k]);
+      solver.remove_batch({live[k]});
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
     }
     const std::uint64_t before = solver_state_digest(solver, live);
@@ -330,7 +330,7 @@ TEST(FairShareSolver, MutationStampMovesOnMutationsOnly) {
   s.add(2, {LinkId{0}});
   EXPECT_GT(s.mutation_stamp(), after_add);
   const std::uint64_t after_second = s.mutation_stamp();
-  s.remove(2);
+  s.remove_batch({2});
   EXPECT_GT(s.mutation_stamp(), after_second);
   const std::uint64_t after_remove = s.mutation_stamp();
   s.add(3, {LinkId{1}});
@@ -375,7 +375,7 @@ TEST(FairShareSolver, ProbeReplayMatchesReferenceUnderRandomizedChurn) {
       } else {
         std::uniform_int_distribution<std::size_t> at(0, live.size() - 1);
         const std::size_t k = at(gen);
-        solver.remove(live[k]);
+        solver.remove_batch({live[k]});
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
       }
       for (int p = 0; p < 40; ++p) {

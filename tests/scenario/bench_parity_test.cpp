@@ -68,14 +68,24 @@ TEST(BenchParity, Fig11ScenarioPathReproducesPrePortDigests) {
   }
 }
 
-// The n=500 DSMF end-to-end anchor recorded by PR 2 in BENCH_2.json /
-// ROADMAP.md; ties exp::result_digest to the published fingerprint.
+// The full-scale anchors: the conformance goldens run every scenario at a
+// small n, so these two pin the scales perfbench measures. n=500 DSMF is the
+// static perf anchor; ties exp::result_digest to the published fingerprint.
 TEST(BenchParity, Fig11PerfAnchorN500MatchesRecordedDigest) {
   ExperimentConfig cfg = scenario_registry().at("paper/static-n500").config();
   EXPECT_EQ(cfg.nodes, 500);
   EXPECT_EQ(cfg.algorithm, "dsmf");
   const auto result = run_experiment(cfg);
   EXPECT_EQ(result_digest(result), 9659472094034910224ULL);
+}
+
+// The epoch-quantised barrier loop at full scale (n=500, ~2,161 barriers):
+// the solver and ledger path the small-n golden barely exercises.
+TEST(BenchParity, QuantisedFairEpoch60FullScaleMatchesRecordedDigest) {
+  ExperimentConfig cfg = scenario_registry().at("quantised/fair-epoch60").config();
+  EXPECT_EQ(cfg.effective_network_mode(), net::NetworkMode::kQuantisedFair);
+  const auto result = run_experiment(cfg);
+  EXPECT_EQ(result_digest(result), 2688817483654521699ULL);
 }
 
 // scenario_config must honour the same CLI overrides base_config did.

@@ -82,7 +82,8 @@ INSTANTIATE_TEST_SUITE_P(AllClassic, StreamingReplayDifferential,
 // produce the same result_digest (the golden-digest guarantee), while the
 // streaming run's live report count stays bounded. A handful of scenarios
 // spanning the workload models: closed (paper), open arrivals, trace replay,
-// fitted trace synthesis, and the quantised network mode.
+// fitted trace synthesis, the heavy-traffic open stream and the quantised
+// network mode.
 class StreamingWorldAB : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(StreamingWorldAB, SameDigestEitherCollector) {
@@ -115,7 +116,7 @@ TEST_P(StreamingWorldAB, SameDigestEitherCollector) {
 INSTANTIATE_TEST_SUITE_P(WorkloadModels, StreamingWorldAB,
                          ::testing::Values("paper/static-n200", "open/poisson-arrivals",
                                            "trace/gwa-replay", "trace/fitted-burst",
-                                           "quantised/fair-epoch60"),
+                                           "trace/open-stream-1m", "quantised/fair-epoch60"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
