@@ -53,8 +53,8 @@ def log(msg):
     print(msg, file=sys.stderr, flush=True)
 
 
-def load_benchmark(root=ROOT):
-    with open(root / "BENCHMARK.json") as f:
+def load_benchmark():
+    with open(ROOT / "BENCHMARK.json") as f:
         return json.load(f)
 
 
