@@ -23,9 +23,11 @@ alternating which side goes first, plus PAIRS pairs of the fluid-fair run
 FLUID_SCENARIO timed as process wall time (no perfbench workload uses the fluid
 model). It fails when a side's run fails more often than the base's, when an
 end-to-end metric's median is worse than its BENCHMARK.json bound, or when the
-change loses at least 9 of 10 pairs of run_s (wall_s for the fluid run) and
-its median is behind by more than the base's own interquartile range. The pair
-rule catches steady regressions smaller than the bound.
+change is slower in at least 9 of 10 pairs of run_s (wall_s for the fluid run)
+and the median of the per-pair change/base ratios is above 1 + PAIR_BOUND. The
+pair rule catches steady regressions smaller than the bound; judging each pair
+against its own base run cancels the host's slow spells, which move both runs
+of a pair alike.
 """
 
 import argparse
@@ -45,6 +47,10 @@ COUNTS_FILE = ROOT / "tools" / "perfbench_counts.json"
 COUNT_WORKLOADS = ["static-n500", "fair-epoch60", "open-stream", "lossy-gossip"]
 TIMED_UNITS = {"s", "us", "1/s", "ratio"}
 PAIRS = 10
+# On a shared 4-vCPU host, a change flat on the run path read median per-pair
+# ratios from -8 % to +6 %, and lost 9 of 10 pairs only at +2.2 % (the fluid
+# run); a 150-iteration spin per EventQueue::pop read +14.8 %, behind in 9 of 10.
+PAIR_BOUND = 0.05
 FLUID_SCENARIO = "contention/fair-static"
 FLUID_NAME = "fluid:" + FLUID_SCENARIO
 
@@ -118,18 +124,23 @@ def run_counts(update):
     measured = {w: {m: r["metrics"][m]["value"] for m in metrics if m in r["metrics"]}
                 for w, r in results.items()}
     if update:
-        if len(results) != len(COUNT_WORKLOADS):
-            log("perf_gate: not every counts run succeeded; counts file left as it is")
-            return 1
-        COUNTS_FILE.write_text(json.dumps(measured, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {COUNTS_FILE}")
-    with open(COUNTS_FILE) as f:
-        expected = json.load(f)
-    errors = check_counts(expected, results, metrics)
+        # Checked against themselves, the counts can fail only on a missing or
+        # incorrect run, a diverged replica or a missing metric: write nothing then.
+        errors = check_counts({w: measured.get(w, {}) for w in COUNT_WORKLOADS}, results,
+                              metrics)
+        if not errors:
+            COUNTS_FILE.write_text(json.dumps(measured, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {COUNTS_FILE}")
+    else:
+        with open(COUNTS_FILE) as f:
+            expected = json.load(f)
+        errors = check_counts(expected, results, metrics)
     for e in errors:
         print(f"COUNTS MISMATCH {e}")
     if errors:
         print("measured counts:\n" + json.dumps(measured, indent=1, sort_keys=True))
+        if update:
+            print(f"{COUNTS_FILE.name} left as it is")
         return 1
     print(f"counts pass: {len(metrics)} count metrics match on {', '.join(COUNT_WORKLOADS)}")
     return 0
@@ -219,25 +230,24 @@ def judge(name, runs, metrics, pair_metric):
             failures.append(f"{name}: {m['name']} median {worse:+.1%} worse than base, "
                             f"bound {m['bound']:.0%}")
         if m["name"] == pair_metric:
-            sign = 1 if m["better"] == "lower" else -1
-            losses = sum(1 for x, y in zip(base, change) if sign * (y - x) > 0)
-            needed = math.ceil(0.9 * len(ok))
+            # Per-pair cost ratio: above 1 when the change is behind in that pair.
+            ratios = [y / x if m["better"] == "lower" else x / y for x, y in zip(base, change)]
+            losses = sum(1 for r in ratios if r > 1)
+            slower = statistics.median(ratios) - 1
             print(f"  {name} {pair_metric}: change behind in {losses} of {len(ok)} pairs, "
-                  f"median gap {c - b:+.6g} vs base IQR {q3 - q1:.6g}")
-            if losses >= needed and sign * (c - b) > q3 - q1:
+                  f"median per-pair ratio {slower:+.1%}, pair bound {PAIR_BOUND:.0%}")
+            if losses >= math.ceil(0.9 * len(ok)) and slower > PAIR_BOUND:
                 failures.append(f"{name}: {pair_metric} behind in {losses} of {len(ok)} pairs, "
-                                f"median gap {c - b:+.4g} > base IQR {q3 - q1:.4g}")
+                                f"median per-pair ratio {slower:+.1%} > {PAIR_BOUND:.0%}")
     return failures
 
 
-def timing_pass(base_rev, workloads=None):
-    """Runs and judges the pairs; `workloads` limits them (default: all plus the fluid run)."""
+def timing_pass(base_rev):
+    """Runs and judges the pairs of every workload and of the fluid run."""
     bench = load_benchmark()
     names = [w["name"] for w in bench["workloads"]] + [FLUID_NAME]
-    if workloads:
-        names = [n for n in names if n in workloads]
     trees = (base_tree(base_rev), ROOT)
-    runners = [build_scenario_runner(t) for t in trees] if FLUID_NAME in names else None
+    runners = [build_scenario_runner(t) for t in trees]
     run_bound = next(m for m in bench["end_to_end"] if m["name"] == "run_s")["bound"]
     failures = []
     for name in names:
