@@ -151,6 +151,7 @@ void TransferManager::fair_schedule_next_completion() {
   // is broken here at full relative precision over the tied subtree.
   tie_scratch_.clear();
   next_completion_.collect_min_ties(tie_scratch_);
+  completion_arm_reads_ += tie_scratch_.size();
   double soonest = kInf;
   for (const std::uint64_t fid : tie_scratch_) {
     const auto it = flows_.find(fid);

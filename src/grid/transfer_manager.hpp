@@ -225,6 +225,10 @@ class TransferManager {
   /// solve since construction (observability for tests).
   [[nodiscard]] std::uint64_t probe_cache_hits() const { return probe_cache_hits_; }
   [[nodiscard]] std::uint64_t probe_cache_misses() const { return probe_cache_misses_; }
+  /// Fluid flows read to arm the next completion since construction: the
+  /// completion index's minimum-key ties, not every active flow
+  /// (observability for tests).
+  [[nodiscard]] std::uint64_t completion_arm_reads() const { return completion_arm_reads_; }
 
  private:
   struct Flow {
@@ -298,6 +302,7 @@ class TransferManager {
   mutable std::uint64_t probe_cache_barrier_stamp_ = 0;
   mutable std::uint64_t probe_cache_hits_ = 0;
   mutable std::uint64_t probe_cache_misses_ = 0;
+  std::uint64_t completion_arm_reads_ = 0;
   /// Bumped by link_state_changed for BOTH directions: Routing reroutes on
   /// failure and recovery alike, so cached paths go stale either way.
   std::uint64_t link_stamp_ = 0;

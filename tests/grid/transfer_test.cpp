@@ -164,6 +164,31 @@ TEST(TransferFair, SecondFluidEpochAfterIdleGapStaysExact) {
   EXPECT_NEAR(done[1], 307.0, 1e-6);  // 300 + lat 2 + 50/10
 }
 
+TEST(TransferFair, ArmingReadsTheIndexTiesNotEveryActiveFlow) {
+  // kFlows flows on disjoint links (node 2i -> 2i+1), distinct sizes so no
+  // two finish together. Each arming must read only the index's minimum-key
+  // tie - one flow - not the active set: at most one read per start and per
+  // completion, where a scan over the active flows reads ~kFlows^2.
+  constexpr int kFlows = 64;
+  std::vector<net::Link> links;
+  for (int i = 0; i < kFlows; ++i) links.push_back({NodeId{2 * i}, NodeId{2 * i + 1}, 10.0, 1.0});
+  sim::Engine engine;
+  auto topo = net::Topology::from_links(2 * kFlows, links);
+  net::Routing routing(topo);
+  TransferManager tm(engine, topo, routing, TransferManager::Mode::kFluidFair);
+  int delivered = 0;
+  for (int i = 0; i < kFlows; ++i) {
+    tm.start(NodeId{2 * i}, NodeId{2 * i + 1}, 100.0 + 10.0 * i, [&](bool ok) {
+      EXPECT_TRUE(ok);
+      ++delivered;
+    });
+  }
+  engine.run_all();
+  EXPECT_EQ(delivered, kFlows);
+  EXPECT_GE(tm.completion_arm_reads(), static_cast<std::uint64_t>(kFlows));
+  EXPECT_LE(tm.completion_arm_reads(), static_cast<std::uint64_t>(2 * kFlows));
+}
+
 TEST(TransferFair, ZeroCapacityLinkAbortsInsteadOfStalling) {
   // Regression for the zero-rate stall: a flow routed across a dead link
   // gets rate 0 and could never complete; it must abort (success=false)
