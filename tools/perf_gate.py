@@ -47,9 +47,10 @@ COUNTS_FILE = ROOT / "tools" / "perfbench_counts.json"
 COUNT_WORKLOADS = ["static-n500", "fair-epoch60", "open-stream", "lossy-gossip"]
 TIMED_UNITS = {"s", "us", "1/s", "ratio"}
 PAIRS = 10
-# On a shared 4-vCPU host, a change flat on the run path read median per-pair
-# ratios from -8 % to +6 %, and lost 9 of 10 pairs only at +2.2 % (the fluid
-# run); a 150-iteration spin per EventQueue::pop read +14.8 %, behind in 9 of 10.
+# On a shared 4-vCPU host, two passes of a change flat on the run path read
+# median per-pair ratios from -8 % to +6 %, and lost 9 of 10 pairs only at
+# +2.2 % (the fluid run); two runs of a 150-iteration spin per EventQueue::pop
+# read +14.8 % (behind in 9 of 10) and +12.7 % (10 of 10) on static-n500.
 PAIR_BOUND = 0.05
 FLUID_SCENARIO = "contention/fair-static"
 FLUID_NAME = "fluid:" + FLUID_SCENARIO
