@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Checks tools/perf_gate.py's count comparison on fixture JSON.
+"""Checks tools/perf_gate.py's count comparison and timing pair rule on fixtures.
 
-The fixtures are built from the committed tools/perfbench_counts.json, so the
-test follows that file: an exact copy must pass, and each kind of mismatch the
-counts pass exists to catch must fail, naming the workload and the metric.
+The count fixtures are built from the committed tools/perfbench_counts.json, so
+the test follows that file: an exact copy must pass, and each kind of mismatch
+the counts pass exists to catch must fail, naming the workload and the metric.
+The pair-rule fixtures are recorded base/change run_s pairs (4-vCPU host): a
+change flat on the run path must pass, a steady event-queue slowdown must fail.
 """
 
 import copy
@@ -15,6 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 GATE = ROOT / "tools" / "perf_gate.py"
+sys.path.insert(0, str(GATE.parent))
+import perf_gate  # noqa: E402
 
 failures = []
 
@@ -55,6 +59,26 @@ check("replica mismatch", diverged, False, "fair-epoch60", "exp.replica_match")
 missing = copy.deepcopy(good)
 del missing["lossy-gossip"]
 check("missing workload", missing, False, "lossy-gossip")
+
+
+def judge_pairs(label, pairs, want_pass):
+    runs = [tuple({"attempted": 1, "failed": 0, "metrics": {"run_s": {"value": v}}} for v in p)
+            for p in pairs]
+    metric = {"name": "run_s", "better": "lower", "bound": 0.25}
+    found = perf_gate.judge("w", runs, [metric], "run_s")
+    if (not found) != want_pass or (found and "w: run_s behind in" not in found[0]):
+        failures.append(f"{label}: judge returned {found}")
+
+
+# Flat change, fluid run: behind in 9 of 10 pairs, but by a median +2.2 % per pair.
+judge_pairs("flat change", [(2.12, 2.54), (2.42, 2.56), (2.24, 2.13), (2.18, 2.23), (2.31, 2.36),
+                            (2.36, 2.38), (2.10, 2.33), (2.03, 2.07), (2.10, 2.33), (1.96, 1.98)],
+            True)
+# A 150-iteration spin per EventQueue::pop on static-n500: behind in 9 of 10
+# pairs, +10 % on the median, inside the 25 % bound and the base's own IQR.
+judge_pairs("event-queue spin", [(1.80, 1.77), (1.46, 1.82), (1.48, 1.76), (2.05, 2.21),
+                                 (1.99, 2.40), (1.78, 2.10), (1.56, 1.80), (1.70, 1.80),
+                                 (1.59, 1.70), (1.59, 1.82)], False)
 
 for f in failures:
     print(f"FAIL {f}")
