@@ -243,7 +243,7 @@ void GridSystem::run() {
   start();
   if (config_.effective_network_mode() == net::NetworkMode::kQuantisedFair) {
     // The quantised barrier loop owns the clock: it interleaves engine epochs
-    // with frozen-rate ledger integration.
+    // with per-epoch integration of the pooled flows at their frozen rates.
     const double epoch = grid::derive_quantised_epoch(routing_, config_.quantised_epoch_s);
     const grid::QuantisedRunStats stats = transfers_->run_quantised(epoch, config_.horizon_s);
     quantised_barriers_ = stats.barriers;

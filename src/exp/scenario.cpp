@@ -150,15 +150,15 @@ ScenarioRegistry build_registry() {
 
   // --- epoch-quantised fair sharing ----------------------------------------
   // The net::NetworkModel seam's third mode: max-min rates frozen per epoch,
-  // re-solved only at barriers, volume advanced lazily by the barrier loop's
-  // flow ledger (grid::TransferManager::run_quantised). Same transfer-bound
+  // re-solved only at barriers, volume advanced lazily once per epoch by the
+  // barrier loop (grid::TransferManager::run_quantised). Same transfer-bound
   // CCR as the contention/* family so the frozen-rate approximation is
   // actually load-bearing; epochs are set explicitly here (60 s = one
   // gossip-cycle fifth, 300 s = one full cycle) so the barrier schedule does
   // not depend on the topology draw.
   reg.add({"quantised/fair-epoch60",
            "epoch-quantised fair sharing, 60 s epochs: data-heavy CCR ~ 16 so concurrent "
-           "transfers contend, rates frozen between barriers, ledger-advanced volumes",
+           "transfers contend, rates frozen between barriers, volumes advanced per epoch",
            "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.system.network_mode = net::NetworkMode::kQuantisedFair;
@@ -179,7 +179,7 @@ ScenarioRegistry build_registry() {
            })});
   reg.add({"quantised/churn-epoch60",
            "quantised fair sharing under churn (dynamic factor 0.2): mid-epoch mass aborts "
-           "race ledger drains - cancels beat joins, late drains are skipped",
+           "race drains - an aborted flow never drains, late drains are skipped",
            "", RuntimeTier::kMedium, mutate([](ExperimentConfig& c) {
              c.nodes = 200;
              c.system.network_mode = net::NetworkMode::kQuantisedFair;

@@ -5,7 +5,7 @@
 namespace dpjit::grid::detail {
 
 /// Remaining volume below this is considered delivered (numerical slack).
-/// One definition for every mode: the quantised ledgers must agree with the
+/// One definition for every mode: the quantised loop must agree with the
 /// fluid pool on what "drained" means or the epoch->0 convergence breaks.
 constexpr double kEpsilonMb = 1e-9;
 

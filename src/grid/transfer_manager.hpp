@@ -18,16 +18,16 @@
 //    Machinery: models/fluid_fair.cpp.
 //  - kQuantisedFair: epoch-quantised max-min fair sharing. Rates are
 //    re-solved ONLY at epoch barriers and frozen in between; flows finishing
-//    their propagation phase queue as pending joins and enter the solver at
-//    the next barrier; remaining volume is advanced LAZILY once per epoch by
-//    the flow ledger of run_quantised() (not O(flows) per mutation like the
-//    fluid mode's eager advance); completions are detected by the ledger and
-//    delivered back through quantised_deliver() two barriers after the epoch
-//    in which they drained. Aborts (churn, link failure, task failure) fire
-//    immediately and leave the solver at once, but the frozen rates of
-//    surviving flows do not move until the next barrier. The manager
-//    schedules NO completion events in this mode - the barrier loop owns the
-//    clock. Machinery: models/quantised_fair.cpp.
+//    their propagation phase wait as pending joins and enter the solver at
+//    the next barrier; run_quantised() advances each pooled flow's
+//    remaining volume LAZILY, once per epoch at its frozen rate (not
+//    O(flows) per mutation like the fluid mode's eager advance), and
+//    delivers a drained flow two barriers after the epoch in which it
+//    drained. Aborts (churn, link failure, task failure) fire immediately
+//    and leave the pool at once, but the frozen rates of surviving flows do
+//    not move until the next barrier. The manager schedules NO completion
+//    events in this mode - the barrier loop owns the clock. Machinery:
+//    models/quantised_fair.cpp.
 //
 // The manager also answers what-if transfer-rate and transfer-time queries
 // against the live network: "if a new transfer started on this path now,
@@ -65,43 +65,10 @@
 
 namespace dpjit::grid {
 
-/// One flow admitted to the frozen-rate pool at a quantised barrier: the
-/// ledger-side initial state (remaining volume and the epoch's frozen rate).
-struct QuantisedJoin {
-  std::uint64_t id = 0;
-  double remaining_mb = 0.0;
-  double rate_mbps = 0.0;
-};
-
-/// A surviving flow whose frozen rate moved at a barrier re-solve.
-struct QuantisedRateChange {
-  std::uint64_t id = 0;
-  double rate_mbps = 0.0;
-};
-
-/// Everything the flow ledger must learn at one epoch barrier. Entries are
-/// id-sorted; a flow aborted by a barrier-time stall shows up in `cancels`
-/// (possibly without ever having been joined - the ledger ignores unknown
-/// ids).
-struct QuantisedBarrierDelta {
-  std::vector<QuantisedJoin> joins;
-  std::vector<QuantisedRateChange> rate_changes;
-  std::vector<std::uint64_t> cancels;
-};
-
-/// One ledger-detected drain: the exact in-epoch finish time plus the flow.
-/// Deliveries are sorted by (finish_s, id) before callbacks fire.
-struct QuantisedDone {
-  SimTime finish_s = 0.0;
-  std::uint64_t id = 0;
-};
-
 /// Observability of one quantised barrier-loop run (run_quantised()).
 struct QuantisedRunStats {
-  std::uint64_t barriers = 0;         ///< epoch barriers executed
-  std::uint64_t flows_joined = 0;     ///< flows admitted to the ledger
-  std::uint64_t flows_drained = 0;    ///< ledger-detected drains
-  std::uint64_t flows_cancelled = 0;  ///< mid-epoch aborts the ledger applied
+  std::uint64_t barriers = 0;       ///< epoch barriers executed
+  std::uint64_t flows_drained = 0;  ///< drains detected (an abort before delivery still counts)
 };
 
 /// The quantised epoch actually used for a run: `requested_s` when positive,
@@ -162,11 +129,11 @@ class TransferManager {
   /// `epoch_s` (> 0, finite) seconds. Barrier k at t_k = t_{k-1} + epoch_s
   /// (t_0 = 0, accumulated, while t_k <= horizon):
   ///   1. engine.run_until(t_k) - every grid event of the epoch;
-  ///   2. deliver the (finish_s, id)-sorted drains step 4 reported at t_{k-1};
-  ///   3. quantised_barrier() - admissions and the epoch's frozen re-solve;
-  ///   4. drive barrier k-1's delta over [t_{k-1}, t_k): apply joins, rate
-  ///      changes, then cancels (a same-barrier cancel beats its own join),
-  ///      integrate every ledger flow once and report the drains.
+  ///   2. deliver, in (finish_s, id) order, the drains step 3 reported at
+  ///      t_{k-1}, skipping flows aborted since;
+  ///   3. integrate every pooled flow over [t_{k-1}, t_k) at the rate frozen
+  ///      at t_{k-1} and report the flows that drained;
+  ///   4. quantised_barrier() - admissions and the epoch's frozen re-solve.
   /// A flow that drains in [t_{k-1}, t_k) is therefore delivered at t_{k+1},
   /// two epochs later. Afterwards the engine runs its tail events in
   /// (last barrier, horizon]; flows still in flight do not complete.
@@ -174,15 +141,9 @@ class TransferManager {
 
   /// Executes one epoch barrier at the engine's current time: delivers
   /// zero-size pending joins, admits the rest to the solver, re-freezes every
-  /// active flow's rate, aborts barrier-stalled (zero-rate) flows, and
-  /// returns the id-sorted delta the flow ledger must apply for the coming
-  /// epoch. Bumps the barrier stamp the probe cache keys on.
-  [[nodiscard]] QuantisedBarrierDelta quantised_barrier();
-
-  /// Delivers ledger-detected drains (must be (finish_s, id)-sorted by the
-  /// caller): one batched solver removal, stats, then success callbacks.
-  /// Entries for flows aborted since detection are skipped.
-  void quantised_deliver(const std::vector<QuantisedDone>& done);
+  /// pooled flow's rate_mbps and aborts barrier-stalled (zero-rate) flows.
+  /// Bumps the barrier stamp the probe cache keys on.
+  void quantised_barrier();
 
   /// Barriers executed so far (the probe-cache epoch key in quantised mode).
   [[nodiscard]] std::uint64_t barrier_stamp() const { return barrier_stamp_; }
@@ -236,7 +197,7 @@ class TransferManager {
     NodeId dst;
     double size_mb = 0.0;
     double remaining_mb = 0.0;
-    double rate_mbps = 0.0;      ///< current allocated rate (contended modes)
+    double rate_mbps = 0.0;      ///< allocated rate (contended; quantised: frozen)
     std::vector<LinkId> links;   ///< route (contended always; bottleneck when tracked)
     CompletionFn on_done;
     /// Bottleneck-mode completion / contended-mode latency-phase event.
@@ -279,10 +240,10 @@ class TransferManager {
   void fair_tick();
 
   // --- quantised-fair machinery (models/quantised_fair.cpp) ---
-  /// Propagation phase over: queue the flow for admission at the next barrier.
+  /// Propagation phase over: mark the flow for admission at the next barrier.
   void quantised_flow_ready(std::uint64_t id);
-  /// Aborts a sorted batch immediately (callbacks now, solver removal now,
-  /// ledger cancel queued for the next barrier); frozen rates do not move.
+  /// Resolves a batch immediately (completion or abort): one batched solver
+  /// removal, stats, erase, then the callbacks; frozen rates do not move.
   void quantised_resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
 
   sim::Engine& engine_;
@@ -319,12 +280,6 @@ class TransferManager {
   sim::EventQueue::Handle fair_event_ = sim::EventQueue::kInvalidHandle;
   bool fair_event_armed_ = false;
   SimTime fair_clock_ = 0.0;
-  // --- quantised-fair state ---
-  /// Flows whose propagation finished since the last barrier (may hold stale
-  /// ids of flows aborted before admission; admission re-checks).
-  std::vector<std::uint64_t> pending_joins_;
-  /// Ids the ledger must drop at the next barrier (aborted mid-epoch).
-  std::vector<std::uint64_t> pending_cancels_;
   /// Epoch barriers executed; part of the probe-cache key in quantised mode.
   std::uint64_t barrier_stamp_ = 0;
 };

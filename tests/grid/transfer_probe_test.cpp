@@ -15,7 +15,7 @@ net::Topology line_topology() {
                                        {NodeId{1}, NodeId{2}, 10.0, 0.1}});
 }
 
-TEST(RateOracle, BottleneckModeReportsRoutedPathRate) {
+TEST(TransferProbe, BottleneckModeReportsRoutedPathRate) {
   const auto topo = line_topology();
   const net::Routing routing(topo);
   sim::Engine engine;
@@ -29,7 +29,7 @@ TEST(RateOracle, BottleneckModeReportsRoutedPathRate) {
   EXPECT_DOUBLE_EQ(tm.expected_transfer_time_s(NodeId{1}, NodeId{1}, 100.0), 0.0);
 }
 
-TEST(RateOracle, FairModeProbesSeeLiveContention) {
+TEST(TransferProbe, FairModeProbesSeeLiveContention) {
   const auto topo = line_topology();
   const net::Routing routing(topo);
   sim::Engine engine;
@@ -56,7 +56,7 @@ TEST(RateOracle, FairModeProbesSeeLiveContention) {
   EXPECT_NEAR(engine.now(), routing.latency_s(NodeId{0}, NodeId{2}) + 100.0, 1e-6);
 }
 
-TEST(RateOracle, ExpectedTransferTimeEdgeCases) {
+TEST(TransferProbe, ExpectedTransferTimeEdgeCases) {
   // 0 - 1 healthy, 1 - 2 saturated (zero capacity), node 3 isolated.
   const auto topo = net::Topology::from_links(4, {{NodeId{0}, NodeId{1}, 10.0, 0.1},
                                                   {NodeId{1}, NodeId{2}, 0.0, 0.1}});
@@ -73,8 +73,8 @@ TEST(RateOracle, ExpectedTransferTimeEdgeCases) {
   EXPECT_EQ(tm.probe_cache_misses(), 1u);
 }
 
-TEST(RateOracle, ProbesDoNotChangeFluidOutcomes) {
-  // Two identical simulations; one answers a barrage of oracle queries while
+TEST(TransferProbe, ProbesDoNotChangeFluidOutcomes) {
+  // Two identical simulations; one answers a barrage of probes while
   // flows are in flight. Completion times must match exactly.
   const auto topo = line_topology();
   const net::Routing routing(topo);

@@ -79,13 +79,24 @@ TEST(BenchParity, Fig11PerfAnchorN500MatchesRecordedDigest) {
   EXPECT_EQ(result_digest(result), 9659472094034910224ULL);
 }
 
-// The epoch-quantised barrier loop at full scale (n=500, ~2,161 barriers):
-// the solver and ledger path the small-n golden barely exercises.
+// The epoch-quantised barrier loop at full scale (n=200, ~2,161 barriers):
+// the solver and per-epoch integration the small-n golden barely exercises.
 TEST(BenchParity, QuantisedFairEpoch60FullScaleMatchesRecordedDigest) {
   ExperimentConfig cfg = scenario_registry().at("quantised/fair-epoch60").config();
   EXPECT_EQ(cfg.effective_network_mode(), net::NetworkMode::kQuantisedFair);
   const auto result = run_experiment(cfg);
   EXPECT_EQ(result_digest(result), 2688817483654521699ULL);
+}
+
+// The same loop under churn at full scale: mid-epoch mass aborts race the
+// drains the loop integrates and delivers, which the small-n golden rarely
+// hits.
+TEST(BenchParity, QuantisedChurnEpoch60FullScaleMatchesRecordedDigest) {
+  ExperimentConfig cfg = scenario_registry().at("quantised/churn-epoch60").config();
+  EXPECT_EQ(cfg.effective_network_mode(), net::NetworkMode::kQuantisedFair);
+  EXPECT_GT(cfg.dynamic_factor, 0.0);
+  const auto result = run_experiment(cfg);
+  EXPECT_EQ(result_digest(result), 6049172832227477489ULL);
 }
 
 // scenario_config must honour the same CLI overrides base_config did.
