@@ -108,17 +108,15 @@ struct ExperimentConfig {
   bool reschedule = false;
   /// Ablation: max-min fair network sharing instead of the bottleneck model.
   bool fair_sharing = false;
-  /// The network mode the built world will actually run: folds the
-  /// experiment-level `fair_sharing` convenience flag (copied into the
-  /// SystemConfig only at build time, see build_system_config) into
-  /// SystemConfig::effective_network_mode(). Callers inspecting an unbuilt
-  /// config (scenario_runner --describe) must use THIS, not
-  /// cfg.system.effective_network_mode(), or fluid scenarios misreport as
-  /// bottleneck.
+  /// The network mode the built world will actually run, by the build rule:
+  /// build_system_config overwrites `system.fair_sharing` with the
+  /// experiment-level `fair_sharing` flag, so only the latter counts. Callers
+  /// inspecting an unbuilt config (scenario_runner --describe) must use THIS,
+  /// not cfg.system.effective_network_mode(), which reads the flag the build
+  /// discards.
   [[nodiscard]] net::NetworkMode effective_network_mode() const {
     if (system.network_mode != net::NetworkMode::kBottleneck) return system.network_mode;
-    return (fair_sharing || system.fair_sharing) ? net::NetworkMode::kFluidFair
-                                                 : net::NetworkMode::kBottleneck;
+    return fair_sharing ? net::NetworkMode::kFluidFair : net::NetworkMode::kBottleneck;
   }
   /// Workflow arrival process. 0 (default) = the paper's closed model: every
   /// workflow is submitted at t = 0. > 0 = open model: each home node submits

@@ -1,6 +1,7 @@
 // Fluid max-min fair sharing (Mode::kFluidFair) - the zero-lookahead live
-// model. Pure code motion from the pre-seam transfer_manager.cpp: every path
-// here is pinned bit-identical by the 29 pre-quantised golden digests and the
+// model: the latency-phase join, the eager fluid clock, and the hooks the
+// shared teardown (TransferManager::resolve_batch) runs around a batch that
+// held a pooled flow. Pinned bit-identical by the golden digests and the
 // randomized fluid differential suite (tests/grid/fluid_differential_test).
 #include <algorithm>
 #include <cassert>
@@ -18,8 +19,7 @@ void TransferManager::fair_flow_started(std::uint64_t id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   Flow& flow = it->second;
-  assert(flow.latency_pending && !flow.fluid);
-  flow.latency_pending = false;
+  assert(!flow.fluid);
   // The latency event is firing right now: invalidate the handle so finish()
   // never cancels a stale one (the slot may be reused by an unrelated event).
   flow.event = sim::EventQueue::kInvalidHandle;
@@ -37,23 +37,7 @@ void TransferManager::fair_flow_started(std::uint64_t id) {
   // flow comes back with the pointer attached, sparing a hash lookup per
   // re-solved flow on the hottest path in fair mode.
   solver_.add(id, flow.links, &flow);
-  fair_apply_updated_rates();
-  fair_abort_stalled();
-  fair_schedule_next_completion();
-}
-
-void TransferManager::fair_abort_stalled() {
-  // In practice only a newly added flow crossing a zero-capacity link gets
-  // rate <= 0 (removals never lower surviving rates), but the scan over the
-  // re-solved component is cheap, and running it after every mutation makes
-  // the no-zero-rate-fluid-flow invariant unconditional.
-  std::vector<std::uint64_t> stalled;
-  for (const auto& u : solver_.updated()) {
-    if (u.rate <= 0.0) stalled.push_back(u.id);
-  }
-  if (stalled.empty()) return;
-  std::sort(stalled.begin(), stalled.end());
-  fair_resolve_batch(stalled, false);  // recursion bounded: each pass removes flows
+  fair_settle();
 }
 
 void TransferManager::fair_advance_to_now() {
@@ -68,13 +52,14 @@ void TransferManager::fair_advance_to_now() {
   fair_clock_ = now;
 }
 
-void TransferManager::fair_apply_updated_rates() {
+void TransferManager::fair_settle() {
   // Callers advance the fluid clock before any re-solve, so `now` is the
   // instant the new rates take effect and remaining_mb is current: the
   // projected finish below is exactly the `now + remaining / rate` the old
   // brute-force arming scan would compute at this moment.
   assert(fair_clock_ == engine_.now());
   const SimTime now = engine_.now();
+  std::vector<std::uint64_t> stalled;
   for (const auto& u : solver_.updated()) {
     // The cookie is the Flow itself (attached at solver_.add time); removed
     // flows leave the solver before the re-solve, so every entry here names
@@ -86,52 +71,19 @@ void TransferManager::fair_apply_updated_rates() {
     if (u.rate > 0.0) {
       flow.ci_slot = next_completion_.upsert(u.id, now + flow.remaining_mb / u.rate, flow.ci_slot);
     } else {
-      // Saturated path: fair_abort_stalled() resolves it right after this.
       next_completion_.erase(u.id);
       flow.ci_slot = CompletionIndex::kNoSlot;
+      stalled.push_back(u.id);
     }
   }
-}
-
-void TransferManager::fair_resolve_batch(const std::vector<std::uint64_t>& ids, bool success) {
-  assert(mode_ == Mode::kFluidFair);
-  if (ids.empty()) return;
-  fair_advance_to_now();
-  std::vector<std::uint64_t> fluid_ids;
-  std::vector<CompletionFn> callbacks;
-  fluid_ids.reserve(ids.size());
-  callbacks.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    auto it = flows_.find(id);
-    assert(it != flows_.end());
-    Flow& flow = it->second;
-    if (flow.fluid) {
-      assert(flow.event == sim::EventQueue::kInvalidHandle);
-      fluid_ids.push_back(id);
-      next_completion_.erase(id);
-    } else {
-      // Latency-phase or loopback flow (node teardown): kill its timer.
-      engine_.cancel(flow.event);
-    }
-    if (success) {
-      ++completed_;
-      delivered_mb_ += flow.size_mb;
-    }
-    callbacks.push_back(std::move(flow.on_done));
-    flows_.erase(it);
-  }
-  if (!fluid_ids.empty()) {
-    solver_.remove_batch(fluid_ids);
-    fair_apply_updated_rates();
-    fair_abort_stalled();
-  }
+  // Stall guard. In practice only a newly added flow crossing a
+  // zero-capacity link gets rate <= 0 (removals never lower surviving
+  // rates), but checking after every mutation makes the
+  // no-zero-rate-fluid-flow invariant unconditional. The recursion is
+  // bounded: each pass removes flows.
+  std::sort(stalled.begin(), stalled.end());
+  resolve_batch(stalled, false);
   fair_schedule_next_completion();
-  // Callbacks fire last, against fully consistent state: they may re-enter
-  // start()/abort() (the grid restarts lost input transfers from the home
-  // node, for example).
-  for (auto& cb : callbacks) {
-    if (cb) cb(success);
-  }
 }
 
 void TransferManager::fair_schedule_next_completion() {
@@ -198,7 +150,7 @@ void TransferManager::fair_tick() {
     fair_schedule_next_completion();
     return;
   }
-  fair_resolve_batch(done, true);
+  resolve_batch(done, true);
 }
 
 }  // namespace dpjit::grid

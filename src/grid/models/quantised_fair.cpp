@@ -13,7 +13,7 @@
 //    callbacks immediately and leave flows_ and the solver immediately, so
 //    an aborted flow is never integrated again; surviving flows' FROZEN
 //    rates do not move until the next barrier. A drain racing such an abort
-//    is dropped at delivery by the flows_ membership check.
+//    is dropped at delivery: resolve_batch skips flows already gone.
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -34,8 +34,7 @@ void TransferManager::quantised_flow_ready(std::uint64_t id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
   Flow& flow = it->second;
-  assert(flow.latency_pending && !flow.fluid);
-  flow.latency_pending = false;
+  assert(!flow.fluid && !flow.join_pending);
   // The latency event is firing right now: invalidate the handle so finish()
   // never cancels a stale, potentially reused one.
   flow.event = sim::EventQueue::kInvalidHandle;
@@ -95,47 +94,7 @@ void TransferManager::quantised_barrier() {
     }
     it->second.rate_mbps = rate;
   }
-  quantised_resolve_batch(stalled, false);
-}
-
-void TransferManager::quantised_resolve_batch(const std::vector<std::uint64_t>& ids,
-                                              bool success) {
-  assert(mode_ == Mode::kQuantisedFair);
-  if (ids.empty()) return;
-  std::vector<std::uint64_t> pool_ids;
-  std::vector<CompletionFn> callbacks;
-  pool_ids.reserve(ids.size());
-  callbacks.reserve(ids.size());
-  for (const std::uint64_t id : ids) {
-    auto it = flows_.find(id);
-    assert(it != flows_.end());
-    Flow& flow = it->second;
-    if (flow.fluid) {
-      assert(flow.event == sim::EventQueue::kInvalidHandle);
-      pool_ids.push_back(id);
-    } else {
-      // Latency-phase, pending-join or loopback flow: kill its timer (a
-      // no-op for pending joins, whose handle is already invalidated).
-      engine_.cancel(flow.event);
-    }
-    if (success) {
-      ++completed_;
-      delivered_mb_ += flow.size_mb;
-    }
-    callbacks.push_back(std::move(flow.on_done));
-    flows_.erase(it);
-  }
-  // One batched removal; the re-solve result is deliberately NOT applied -
-  // surviving flows keep their frozen rates until the next barrier reads the
-  // solver back. (Removals never lower surviving rates, so no stall guard is
-  // needed here either.)
-  if (!pool_ids.empty()) solver_.remove_batch(pool_ids);
-  // Callbacks fire last, against fully consistent state: they may re-enter
-  // start()/abort() (the grid restarts lost input transfers from the home
-  // node, for example).
-  for (auto& cb : callbacks) {
-    if (cb) cb(success);
-  }
+  resolve_batch(stalled, false);
 }
 
 QuantisedRunStats TransferManager::run_quantised(double epoch_s, SimTime horizon) {
@@ -156,13 +115,11 @@ QuantisedRunStats TransferManager::run_quantised(double epoch_s, SimTime horizon
   for (SimTime t = 0.0; t <= horizon; t += epoch_s) {
     engine_.run_until(t);
 
-    // Deliver the drains reported at t_{k-1}, minus the flows aborted since
-    // (their callbacks already fired).
+    // Deliver the drains reported at t_{k-1}; resolve_batch skips the flows
+    // aborted since (their callbacks already fired).
     delivered.clear();
-    for (const auto& [finish_s, id] : drained) {
-      if (flows_.contains(id)) delivered.push_back(id);
-    }
-    quantised_resolve_batch(delivered, true);
+    for (const auto& [finish_s, id] : drained) delivered.push_back(id);
+    resolve_batch(delivered, true);
 
     // Integrate [t_{k-1}, t_k) at the rates frozen at t_{k-1}. The stall
     // guard aborts zero-rate flows at admission and removals never lower

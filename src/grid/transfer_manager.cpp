@@ -1,12 +1,13 @@
 // Mode-agnostic facade of the TransferManager: flow bookkeeping, transfer
-// lifecycle entry points and the what-if probes. The per-mode machinery
-// lives behind the net::NetworkModel seam in models/fluid_fair.cpp and
-// models/quantised_fair.cpp.
+// lifecycle entry points, the one batch teardown and the what-if probes. The
+// per-mode machinery lives behind the net::NetworkModel seam in
+// models/fluid_fair.cpp and models/quantised_fair.cpp.
 #include "grid/transfer_manager.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "grid/models/transfer_model_detail.hpp"
@@ -39,75 +40,83 @@ std::uint64_t TransferManager::start(NodeId src, NodeId dst, double size_mb,
   flow.remaining_mb = size_mb;
   flow.on_done = std::move(on_done);
 
-  if (src == dst) {
-    // Loopback: deliver after zero delay (still asynchronously).
-    auto [it, ok] = flows_.emplace(id, std::move(flow));
-    (void)ok;
-    it->second.event = engine_.schedule_in(0.0, [this, id] { finish(id, true); });
-    return id;
-  }
-
-  const double latency = routing_.latency_s(src, dst);
-  if (!std::isfinite(latency)) {
-    // Unreachable pair (cannot happen on connected topologies; defensive).
-    auto [it, ok] = flows_.emplace(id, std::move(flow));
-    (void)ok;
-    it->second.event = engine_.schedule_in(0.0, [this, id] { finish(id, false); });
+  // After zero delay (still asynchronously) a loopback delivers, and a pair
+  // with no usable route aborts: unreachable, or - in bottleneck mode - a
+  // path across a zero-capacity link, whose event would land at t = +inf.
+  const bool loopback = src == dst;
+  const double latency = loopback ? 0.0 : routing_.latency_s(src, dst);
+  const bool routed = !loopback && std::isfinite(latency);
+  const double bandwidth =
+      routed && mode_ == Mode::kBottleneck ? routing_.bandwidth_mbps(src, dst) : kInf;
+  if (!routed || bandwidth <= 0.0) {
+    Flow& f = flows_.emplace(id, std::move(flow)).first->second;
+    f.event = engine_.schedule_in(0.0, [this, id, loopback] { finish(id, loopback); });
     return id;
   }
 
   if (mode_ == Mode::kBottleneck) {
-    const double bandwidth = routing_.bandwidth_mbps(src, dst);
-    if (bandwidth <= 0.0) {
-      // Path crosses a zero-capacity link: infinite duration, treat like an
-      // unreachable pair instead of scheduling an event at t = +inf.
-      auto [it, ok] = flows_.emplace(id, std::move(flow));
-      (void)ok;
-      it->second.event = engine_.schedule_in(0.0, [this, id] { finish(id, false); });
-      return id;
-    }
-    const double duration = latency + size_mb / bandwidth;
     if (track_paths_) flow.links = routing_.path_links(src, dst);
-    auto [it, ok] = flows_.emplace(id, std::move(flow));
-    (void)ok;
-    it->second.event = engine_.schedule_in(duration, [this, id] { finish(id, true); });
+    Flow& f = flows_.emplace(id, std::move(flow)).first->second;
+    f.event = engine_.schedule_in(latency + size_mb / bandwidth, [this, id] { finish(id, true); });
     return id;
   }
 
   // Contended modes: propagation first, then join the (fluid/frozen) pool -
   // immediately in fluid mode, at the next epoch barrier in quantised mode.
   flow.links = routing_.path_links(src, dst);
-  flow.latency_pending = true;
-  flows_.emplace(id, std::move(flow));
+  Flow& f = flows_.emplace(id, std::move(flow)).first->second;
   if (mode_ == Mode::kQuantisedFair) {
-    flows_.at(id).event = engine_.schedule_in(latency, [this, id] { quantised_flow_ready(id); });
+    f.event = engine_.schedule_in(latency, [this, id] { quantised_flow_ready(id); });
   } else {
-    flows_.at(id).event = engine_.schedule_in(latency, [this, id] { fair_flow_started(id); });
+    f.event = engine_.schedule_in(latency, [this, id] { fair_flow_started(id); });
   }
   return id;
 }
 
-void TransferManager::finish(std::uint64_t id, bool success) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  if (it->second.fluid) {
-    // Single-flow pool removal is the batch resolve with one element, so the
-    // two paths cannot drift apart.
-    if (mode_ == Mode::kQuantisedFair) {
-      quantised_resolve_batch({id}, success);
+void TransferManager::resolve_batch(std::span<const std::uint64_t> ids, bool success) {
+  const bool fluid_mode = mode_ == Mode::kFluidFair;
+  std::vector<std::uint64_t> pooled;
+  std::vector<CompletionFn> callbacks;
+  callbacks.reserve(ids.size());
+  for (const std::uint64_t id : ids) {
+    const auto it = flows_.find(id);
+    if (it == flows_.end()) continue;  // resolved earlier, e.g. by a callback's abort
+    Flow& flow = it->second;
+    if (flow.fluid) {
+      assert(flow.event == sim::EventQueue::kInvalidHandle);
+      if (fluid_mode) {
+        // Fluid hook: integrate the pool up to now before it first changes.
+        // Erasing unpooled flows before this point does not matter - the
+        // advance only touches pooled ones.
+        if (pooled.empty()) fair_advance_to_now();
+        next_completion_.erase(id);
+      }
+      pooled.push_back(id);
     } else {
-      fair_resolve_batch({id}, success);
+      // Latency-phase, pending-join, loopback or bottleneck flow: kill its
+      // timer (a no-op for a pending join, whose handle is already cleared).
+      engine_.cancel(flow.event);
     }
-    return;
+    if (success) {
+      ++completed_;
+      delivered_mb_ += flow.size_mb;
+    }
+    callbacks.push_back(std::move(flow.on_done));
+    flows_.erase(it);
   }
-  CompletionFn cb = std::move(it->second.on_done);
-  engine_.cancel(it->second.event);
-  if (success) {
-    ++completed_;
-    delivered_mb_ += it->second.size_mb;
+  if (!pooled.empty()) {
+    solver_.remove_batch(pooled);
+    // Quantised mode deliberately leaves the re-solve unapplied: surviving
+    // flows keep their frozen rates until the next barrier reads the solver
+    // back (removals never lower surviving rates, so no stall guard either).
+    if (fluid_mode) fair_settle();
   }
-  flows_.erase(it);
-  if (cb) cb(success);
+  // Callbacks fire last, against fully consistent state: they may re-enter
+  // start()/abort() (the grid restarts lost input transfers from the home
+  // node, for example).
+  for (auto& cb : callbacks) {
+    if (cb) cb(success);
+  }
 }
 
 void TransferManager::node_left(NodeId n) {
@@ -115,23 +124,12 @@ void TransferManager::node_left(NodeId n) {
   for (const auto& [id, flow] : flows_) {
     if (flow.src == n || flow.dst == n) doomed.push_back(id);
   }
-  if (mode_ == Mode::kFluidFair || mode_ == Mode::kQuantisedFair) {
-    // Churn teardown: one batched re-solve for every doomed flow instead of a
-    // full recompute per flow; sorted so the callback order is deterministic
-    // (the collection above iterates in hash-map order).
-    std::sort(doomed.begin(), doomed.end());
-    if (mode_ == Mode::kQuantisedFair) {
-      quantised_resolve_batch(doomed, false);
-    } else {
-      fair_resolve_batch(doomed, false);
-    }
-  } else {
-    for (std::uint64_t id : doomed) finish(id, false);
-  }
+  std::sort(doomed.begin(), doomed.end());  // hash-map order -> deterministic
+  resolve_batch(doomed, false);
 }
 
 bool TransferManager::abort(std::uint64_t id) {
-  if (flows_.find(id) == flows_.end()) return false;
+  if (!flows_.contains(id)) return false;
   finish(id, false);
   return true;
 }
@@ -148,16 +146,9 @@ void TransferManager::link_state_changed(LinkId l, bool up) {
       doomed.push_back(id);
     }
   }
-  if (doomed.empty()) return;
   std::sort(doomed.begin(), doomed.end());  // hash-map order -> deterministic
   link_aborts_ += doomed.size();
-  if (mode_ == Mode::kQuantisedFair) {
-    quantised_resolve_batch(doomed, false);
-  } else if (mode_ == Mode::kFluidFair) {
-    fair_resolve_batch(doomed, false);
-  } else {
-    for (const std::uint64_t id : doomed) finish(id, false);
-  }
+  resolve_batch(doomed, false);
 }
 
 // --- what-if probes --------------------------------------------------------

@@ -8,13 +8,12 @@
 //    crossing a link share it max-min fairly (SimGrid-style progressive
 //    filling). Rates are re-solved incrementally through net::FairShareSolver
 //    whenever a flow starts or ends: only the affected bottleneck component
-//    is recomputed, and churn-driven mass teardown (node_left) removes every
-//    doomed flow with a single batched re-solve. A flow whose path crosses a
-//    saturated/zero-capacity link gets rate 0 and can never complete; such
-//    flows are aborted immediately instead of stalling forever. The next
-//    completion event is armed from an incremental CompletionIndex (projected
-//    absolute finish times, re-keyed only for the flows each component
-//    re-solve actually updated) instead of a per-event O(active) scan.
+//    is recomputed. A flow whose path crosses a saturated/zero-capacity link
+//    gets rate 0 and can never complete; such flows are aborted immediately
+//    instead of stalling forever. The next completion event is armed from
+//    an incremental CompletionIndex (projected absolute finish times,
+//    re-keyed only for the flows each component re-solve actually updated)
+//    instead of a per-event O(active) scan.
 //    Machinery: models/fluid_fair.cpp.
 //  - kQuantisedFair: epoch-quantised max-min fair sharing. Rates are
 //    re-solved ONLY at epoch barriers and frozen in between; flows finishing
@@ -50,9 +49,17 @@
 // or - when path tracking is on - when a link on their recorded route fails
 // (link_state_changed). The grid layer's retry policy decides what happens
 // next; the manager itself never re-routes an in-flight transfer.
+//
+// Every way out of the manager - delivery, abort, churn or link teardown,
+// stall guard - goes through one batch teardown, resolve_batch(), in every
+// mode: erase the whole batch, one solver removal for its pooled flows, then
+// the callbacks in batch order. Only the fluid mode adds hooks around it
+// (advance the fluid clock before, re-apply rates, stall guard and re-arm the
+// completion after), and only when the batch held a pooled flow.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -94,13 +101,16 @@ class TransferManager {
 
   /// Starts a transfer of `size_mb` megabits from src to dst; the callback
   /// fires (asynchronously) on delivery or abort. Loopback (src == dst)
-  /// transfers complete after zero delay. Returns a transfer id.
+  /// transfers complete, and transfers with no usable route abort, after
+  /// zero delay. Returns a transfer id.
   std::uint64_t start(NodeId src, NodeId dst, double size_mb, CompletionFn on_done);
 
-  /// Aborts every in-flight transfer with an endpoint at `n` (node departure).
-  /// In contended modes all doomed flows leave the pool with one batched rate
-  /// re-solve (id-ascending callback order); under quantised fairness the
-  /// surviving flows' frozen rates still only move at the next barrier.
+  /// Aborts every in-flight transfer with an endpoint at `n` (node departure)
+  /// as one batch in every mode: all doomed flows are gone (and pooled ones
+  /// out of the solver, with one batched re-solve) before the first callback
+  /// fires, and callbacks fire in id-ascending order. Under quantised
+  /// fairness the surviving flows' frozen rates still only move at the next
+  /// barrier.
   void node_left(NodeId n);
 
   /// Aborts one transfer by id; false if already completed.
@@ -204,8 +214,7 @@ class TransferManager {
     /// Cleared (kInvalidHandle) the moment the latency phase ends so no later
     /// path can cancel a stale, potentially reused handle.
     sim::EventQueue::Handle event = sim::EventQueue::kInvalidHandle;
-    bool latency_pending = false;  ///< contended: still in propagation delay
-    bool fluid = false;            ///< contended: joined the (fluid/frozen) pool
+    bool fluid = false;  ///< contended: joined the (fluid/frozen) pool
     /// Quantised: propagation done, waiting for the next barrier to be
     /// admitted to the solver.
     bool join_pending = false;
@@ -215,7 +224,14 @@ class TransferManager {
     std::uint32_t ci_slot = CompletionIndex::kNoSlot;
   };
 
-  void finish(std::uint64_t id, bool success);
+  /// Resolves one flow (no-op if it is already gone).
+  void finish(std::uint64_t id, bool success) { resolve_batch(std::span(&id, 1), success); }
+  /// The one teardown, for completion and abort alike: per flow (ids already
+  /// resolved are skipped) cancel the timer of an unpooled flow, count a
+  /// delivery and erase it; then one solver removal for the pooled flows,
+  /// the fluid hooks (see the class comment), and the callbacks last, in
+  /// `ids` order.
+  void resolve_batch(std::span<const std::uint64_t> ids, bool success);
 
   // --- fluid-fair machinery (models/fluid_fair.cpp) ---
   void fair_flow_started(std::uint64_t id);
@@ -223,18 +239,13 @@ class TransferManager {
   /// eager O(flows)-per-mutation advance is fluid-mode only; quantised mode
   /// advances lazily at epoch barriers.
   void fair_advance_to_now();
-  /// Pulls solver_.updated() into the flows' rate_mbps and re-keys their
-  /// next-completion projections (the only entries a component re-solve can
-  /// invalidate; every other flow's projected finish is unchanged while its
-  /// rate is).
-  void fair_apply_updated_rates();
-  /// Zero-rate stall guard: aborts any fluid flow the last re-solve left
-  /// with rate <= 0 (saturated/zero-capacity link) - such a flow can never
-  /// complete and no completion event could be armed for it.
-  void fair_abort_stalled();
-  /// Resolves a sorted batch of flows (completion or abort): one batched
-  /// solver removal, stats, erase, reschedule, then the callbacks.
-  void fair_resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
+  /// After a pool mutation re-solved: pulls solver_.updated() into the
+  /// flows' rate_mbps and re-keys their next-completion projections (the
+  /// only entries a component re-solve can invalidate), aborts any flow the
+  /// re-solve left with rate <= 0 (saturated/zero-capacity link: it could
+  /// never complete and no completion event could be armed for it), and
+  /// re-arms the next completion.
+  void fair_settle();
   void fair_schedule_next_completion();
   /// The armed completion event: delivers every flow that crossed the line.
   void fair_tick();
@@ -242,9 +253,6 @@ class TransferManager {
   // --- quantised-fair machinery (models/quantised_fair.cpp) ---
   /// Propagation phase over: mark the flow for admission at the next barrier.
   void quantised_flow_ready(std::uint64_t id);
-  /// Resolves a batch immediately (completion or abort): one batched solver
-  /// removal, stats, erase, then the callbacks; frozen rates do not move.
-  void quantised_resolve_batch(const std::vector<std::uint64_t>& ids, bool success);
 
   sim::Engine& engine_;
   const net::Topology& topo_;

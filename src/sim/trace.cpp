@@ -4,9 +4,10 @@
 
 namespace dpjit::sim {
 
-void Trace::record(SimTime time, TraceKind kind, NodeId node, TaskRef task, std::string note) {
+void Trace::record(SimTime time, TraceKind kind, NodeId node, TaskRef task,
+                   std::string_view note) {
   if (!enabled_) return;
-  records_.push_back(TraceRecord{time, kind, node, task, std::move(note)});
+  records_.push_back(TraceRecord{time, kind, node, task, std::string(note)});
 }
 
 std::size_t Trace::count(TraceKind kind) const {

@@ -7,6 +7,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.hpp"
@@ -45,8 +46,10 @@ class Trace {
   void enable(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  /// Appends a record when enabled; the note is copied only then, so a
+  /// disabled trace never allocates.
   void record(SimTime time, TraceKind kind, NodeId node, TaskRef task = {},
-              std::string note = {});
+              std::string_view note = {});
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const { return records_; }
   void clear() { records_.clear(); }

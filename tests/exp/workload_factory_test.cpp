@@ -27,6 +27,28 @@ TEST(WorkloadFactory, AllNodesAreHomesWithoutChurn) {
   EXPECT_EQ(world.home_count(), 16);
 }
 
+TEST(WorkloadFactory, EffectiveNetworkModeIsTheModeTheWorldRuns) {
+  // Every combination of the three network switches: the reported mode must
+  // be the one the built world's TransferManager runs. The build copies the
+  // experiment-level fair_sharing over system.fair_sharing, so a config that
+  // sets only the latter runs (and must report) the bottleneck model.
+  for (const auto mode : {net::NetworkMode::kBottleneck, net::NetworkMode::kFluidFair,
+                          net::NetworkMode::kQuantisedFair}) {
+    for (const bool exp_fair : {false, true}) {
+      for (const bool sys_fair : {false, true}) {
+        auto cfg = tiny();
+        cfg.system.network_mode = mode;
+        cfg.fair_sharing = exp_fair;
+        cfg.system.fair_sharing = sys_fair;
+        World world(cfg);
+        EXPECT_EQ(world.system().transfers().mode(), cfg.effective_network_mode())
+            << net::to_string(mode) << " fair_sharing=" << exp_fair
+            << " system.fair_sharing=" << sys_fair;
+      }
+    }
+  }
+}
+
 TEST(WorkloadFactory, OnlyStableHalfAreHomesUnderChurn) {
   auto cfg = tiny();
   cfg.dynamic_factor = 0.2;

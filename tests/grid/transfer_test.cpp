@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace dpjit::grid {
 namespace {
 
@@ -77,6 +81,31 @@ TEST(TransferBottleneck, NodeLeftAbortsTouchingTransfers) {
   EXPECT_EQ(failures, 2);
   f.engine.run_all();
   EXPECT_EQ(tm.completed_count(), 1u);  // the 0->1 transfer survives
+}
+
+TEST(TransferBottleneck, NodeLeftResolvesTheWholeBatchBeforeAnyCallback) {
+  // Four doomed flows (ids 1-4, both directions across node 2) and one
+  // survivor: callbacks fire in ascending id order, and at the first of them
+  // every doomed flow has already left the manager.
+  Fixture f;
+  TransferManager tm(f.engine, f.topo, f.routing);
+  std::vector<std::uint64_t> ids(4);
+  std::vector<std::pair<std::uint64_t, std::size_t>> seen;  // (id, active at callback)
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const NodeId src{i % 2 == 0 ? 0 : 2};
+    const NodeId dst{i % 2 == 0 ? 2 : 1};
+    ids[i] = tm.start(src, dst, 100.0, [&, i](bool ok) {
+      EXPECT_FALSE(ok);
+      seen.emplace_back(ids[i], tm.active_count());
+    });
+  }
+  tm.start(NodeId{0}, NodeId{1}, 100.0, [](bool ok) { EXPECT_TRUE(ok); });
+  tm.node_left(NodeId{2});
+  const std::vector<std::pair<std::uint64_t, std::size_t>> expected = {
+      {ids[0], 1}, {ids[1], 1}, {ids[2], 1}, {ids[3], 1}};
+  EXPECT_EQ(seen, expected);
+  f.engine.run_all();
+  EXPECT_EQ(tm.completed_count(), 1u);
 }
 
 TEST(TransferBottleneck, ZeroSizeCostsLatencyOnly) {
@@ -306,6 +335,34 @@ TEST(TransferFair, NodeLeftTearsDownAllPhasesInOneBatch) {
   EXPECT_EQ(tm.active_count(), 0u);
   EXPECT_EQ(tm.completed_count(), 1u);
   EXPECT_GT(survivor_done_at, 0.0);
+}
+
+TEST(TransferFair, NodeLeftOfPropagatingFlowsLeavesTheArmedCompletionAlone) {
+  // The 0->1 flow is fluid from t = 1 at the full 10 Mb/s, so its completion
+  // is armed for t = 11. At t = 5 node 2 leaves while both of its flows are
+  // still in propagation: the pool does not change, so the teardown must not
+  // re-arm (no arming read, and the completion keeps its place ahead of an
+  // observer scheduled later for the same instant).
+  Fixture f;
+  TransferManager tm(f.engine, f.topo, f.routing, TransferManager::Mode::kFluidFair);
+  std::vector<std::string> order;
+  tm.start(NodeId{0}, NodeId{1}, 100.0, [&](bool ok) {
+    EXPECT_TRUE(ok);
+    order.emplace_back("flow");
+  });
+  int aborted = 0;
+  f.engine.schedule_at(5.0, [&] {
+    tm.start(NodeId{1}, NodeId{2}, 100.0, [&](bool ok) { aborted += ok ? 0 : 1; });
+    tm.start(NodeId{2}, NodeId{0}, 100.0, [&](bool ok) { aborted += ok ? 0 : 1; });
+    f.engine.schedule_at(11.0, [&] { order.emplace_back("observer"); });
+    const std::uint64_t reads = tm.completion_arm_reads();
+    tm.node_left(NodeId{2});
+    EXPECT_EQ(aborted, 2);
+    EXPECT_EQ(tm.completion_arm_reads(), reads);
+  });
+  f.engine.run_all();
+  EXPECT_EQ(order, (std::vector<std::string>{"flow", "observer"}));
+  EXPECT_EQ(tm.completed_count(), 1u);
 }
 
 TEST(TransferFair, AbortRestoresBandwidth) {
